@@ -27,18 +27,20 @@ inline uint64_t LoadUInt(const uint8_t* p, size_t size, ByteOrder order) {
   return v;
 }
 
-// Stores the low `size` bytes of `v` at `p`.
+// Stores the low `size` bytes (1..8) of `v` at `p`.
 inline void StoreUInt(uint8_t* p, size_t size, ByteOrder order, uint64_t v) {
-  if (order == ByteOrder::kBig) {
-    for (size_t i = size; i > 0; --i) {
-      p[i - 1] = static_cast<uint8_t>(v & 0xff);
-      v >>= 8;
-    }
-  } else {
-    for (size_t i = 0; i < size; ++i) {
-      p[i] = static_cast<uint8_t>(v & 0xff);
-      v >>= 8;
-    }
+  // Stage the 8 bytes little-endian, then copy at most 8 of them out: with
+  // the width bounded by the staging array the compiler can see the copy
+  // never overruns an 8-byte destination.
+  uint8_t le[sizeof(v)];
+  for (size_t i = 0; i < sizeof(v); ++i) {
+    le[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+  if (size > sizeof(v)) {
+    size = sizeof(v);
+  }
+  for (size_t i = 0; i < size; ++i) {
+    p[i] = order == ByteOrder::kBig ? le[size - 1 - i] : le[i];
   }
 }
 

@@ -38,21 +38,28 @@ class Channel {
   // a wakeup, and it should return kIdle.
   bool TryPush(MsgRef&& msg) {
     if (!ring_.TryPush(std::move(msg))) {
-      producer_blocked_.store(true, std::memory_order_release);
-      // Re-check: the consumer may have drained between the failed push and
-      // the flag store, in which case nobody would wake us.
-      if (ring_.SizeApprox() < ring_.capacity()) {
-        producer_blocked_.store(false, std::memory_order_release);
-        if (producer_ != nullptr && scheduler_ != nullptr) {
-          scheduler_->NotifyRunnable(producer_);
-        }
-      }
+      BlockProducer();
       return false;
     }
     if (consumer_ != nullptr && scheduler_ != nullptr) {
       scheduler_->NotifyRunnable(consumer_);
     }
     return true;
+  }
+
+  // Producer side: registers the producer for a wakeup when the consumer
+  // next frees a slot. A producer that found the channel full without
+  // pushing (a CanEmit pre-check) calls this before going idle.
+  void BlockProducer() {
+    producer_blocked_.store(true, std::memory_order_release);
+    // Re-check: the consumer may have drained between the full observation
+    // and the flag store, in which case nobody would wake us.
+    if (!Full()) {
+      producer_blocked_.store(false, std::memory_order_release);
+      if (producer_ != nullptr && scheduler_ != nullptr) {
+        scheduler_->NotifyRunnable(producer_);
+      }
+    }
   }
 
   // Consumer side.
@@ -68,6 +75,7 @@ class Channel {
   MsgRef* Front() { return ring_.Front(); }
 
   bool Empty() const { return ring_.Empty(); }
+  bool Full() const { return ring_.SizeApprox() >= ring_.capacity(); }
   size_t SizeApprox() const { return ring_.SizeApprox(); }
   size_t capacity() const { return ring_.capacity(); }
 

@@ -74,11 +74,10 @@ class HttpDeserializer : public Deserializer {
   explicit HttpDeserializer(proto::HttpParser::Mode mode) : parser_(mode) {}
 
   ParseStatus Deserialize(BufferChain& in, Msg* out) override {
-    const ParseStatus s = parser_.Feed(in, &out->http);
-    if (s == ParseStatus::kDone) {
-      out->kind = Msg::Kind::kHttp;
-    }
-    return s;
+    // Marked before feeding: a partial parse has written `http` too, and
+    // Msg::Clear resets `http` only on kHttp messages.
+    out->kind = Msg::Kind::kHttp;
+    return parser_.Feed(in, &out->http);
   }
   void Reset() override { parser_.Reset(); }
 

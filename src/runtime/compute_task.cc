@@ -8,42 +8,49 @@ ComputeTask::ComputeTask(std::string name, Handler handler, MsgPool* msgs)
 TaskRunResult ComputeTask::Run(TaskContext& ctx) {
   EmitContext emit(&outputs_, msgs_);
 
-  // First, retry a message that was blocked on a full output.
-  if (stalled_msg_) {
-    const HandleResult r = handler_(*stalled_msg_, stalled_input_, emit);
-    if (r == HandleResult::kBlocked) {
-      return TaskRunResult::kIdle;  // output consumer will wake us
-    }
-    stalled_msg_ = MsgRef();
-    messages_handled_.fetch_add(1, std::memory_order_relaxed);
-    ctx.ItemDone();
-  }
-
+  // Drain inputs round-robin, each until empty. A message blocked on a full
+  // output parks in its input's stall slot and stops only that input: the
+  // others keep draining, so a stage that forwards requests on one input and
+  // answers replies from another cannot deadlock against its own backend
+  // when the request side fills while replies wait behind it.
   const size_t n = inputs_.size();
-  size_t empty_streak = 0;
-  while (empty_streak < n) {
-    Channel* in = inputs_[next_input_];
-    MsgRef msg = in->TryPop();
-    if (!msg) {
-      ++empty_streak;
-      next_input_ = (next_input_ + 1) % n;
-      continue;
-    }
-    empty_streak = 0;
+  size_t idle_streak = 0;  // consecutive inputs found empty or blocked
+  bool blocked = false;
+  while (idle_streak < n) {
     const size_t input_index = next_input_;
-    const HandleResult r = handler_(*msg, input_index, emit);
-    if (r == HandleResult::kBlocked) {
-      stalled_msg_ = std::move(msg);
-      stalled_input_ = input_index;
-      return TaskRunResult::kIdle;  // woken when the output drains
+    MsgRef& stalled = stalled_[input_index];
+    MsgRef msg = stalled ? std::move(stalled) : inputs_[input_index]->TryPop();
+    if (msg) {
+      if (handler_(*msg, input_index, emit) == HandleResult::kConsumed) {
+        idle_streak = 0;
+        messages_handled_.fetch_add(1, std::memory_order_relaxed);
+        ctx.ItemDone();
+        if (ctx.ShouldYield()) {
+          return TaskRunResult::kMoreWork;
+        }
+        continue;  // keep draining this input
+      }
+      stalled = std::move(msg);
+      blocked = true;
     }
-    messages_handled_.fetch_add(1, std::memory_order_relaxed);
-    ctx.ItemDone();
-    if (ctx.ShouldYield()) {
-      return TaskRunResult::kMoreWork;
+    ++idle_streak;
+    next_input_ = (next_input_ + 1) % n;
+  }
+  return blocked ? Park() : TaskRunResult::kIdle;
+}
+
+TaskRunResult ComputeTask::Park() {
+  // A handler that blocked after a CanEmit pre-check never called TryPush,
+  // so nothing registered it for a wakeup: register on every full output.
+  // If none is full any more, the block already cleared — run again.
+  bool armed = false;
+  for (Channel* out : outputs_) {
+    if (out->Full()) {
+      out->BlockProducer();
+      armed = true;
     }
   }
-  return TaskRunResult::kIdle;
+  return armed ? TaskRunResult::kIdle : TaskRunResult::kMoreWork;
 }
 
 MergeTask::MergeTask(std::string name, OrderFn order, CombineFn combine)

@@ -23,7 +23,9 @@ namespace flick::runtime {
 
 // Handler-facing emission API. Emit returns false on a full output channel;
 // the runtime then re-delivers the SAME input message later, so handlers must
-// be idempotent per message or check CanEmit first.
+// be idempotent per message or check CanEmit first. Either way a kBlocked
+// result is woken when a full output drains. Only the blocked message's input
+// waits: messages from the stage's other inputs may be handled before it.
 class EmitContext {
  public:
   EmitContext(std::vector<Channel*>* outputs, MsgPool* msgs)
@@ -31,10 +33,7 @@ class EmitContext {
 
   size_t output_count() const { return outputs_->size(); }
 
-  bool CanEmit(size_t output_index) const {
-    Channel* ch = (*outputs_)[output_index];
-    return ch->SizeApprox() < ch->capacity();
-  }
+  bool CanEmit(size_t output_index) const { return !(*outputs_)[output_index]->Full(); }
 
   bool Emit(size_t output_index, MsgRef&& msg) {
     return (*outputs_)[output_index]->TryPush(std::move(msg));
@@ -50,7 +49,7 @@ class EmitContext {
 // Return value of a handler invocation.
 enum class HandleResult {
   kConsumed,  // message fully handled
-  kBlocked,   // output full: re-deliver this message later
+  kBlocked,   // output full: re-deliver this message later (its input waits)
 };
 
 class ComputeTask : public Task {
@@ -65,6 +64,7 @@ class ComputeTask : public Task {
   void AddInput(Channel* ch, Scheduler* scheduler) {
     ch->BindConsumer(this, scheduler);
     inputs_.push_back(ch);
+    stalled_.emplace_back();
   }
   void AddOutput(Channel* ch) {
     ch->BindProducer(this);
@@ -79,12 +79,14 @@ class ComputeTask : public Task {
   TaskRunResult Run(TaskContext& ctx) override;
 
  private:
+  // Parks the task after a kBlocked handler result.
+  TaskRunResult Park();
+
   Handler handler_;
   MsgPool* msgs_;
   std::vector<Channel*> inputs_;
   std::vector<Channel*> outputs_;
-  MsgRef stalled_msg_;       // message whose handling was blocked
-  size_t stalled_input_ = 0;
+  std::vector<MsgRef> stalled_;  // per input: message whose handling blocked
   size_t next_input_ = 0;    // round-robin drain position
   std::atomic<uint64_t> messages_handled_{0};  // read off-thread by tests/stats
 };

@@ -39,9 +39,14 @@ struct Msg {
   int route = -1;         // compute-task routing decision (output index)
 
   void Clear() {
+    // Every writer of `http` marks the message kHttp (HttpDeserializer does
+    // so before feeding the parser, so a partial parse counts), so other
+    // kinds skip the reset.
+    if (kind == Kind::kHttp) {
+      http.Reset();
+    }
     kind = Kind::kBytes;
     bytes.clear();
-    http.Reset();
     conn_id = 0;
     route = -1;
   }
@@ -79,8 +84,18 @@ class MsgRef {
 // heap allocation with a stat bump (messages are control-plane-sized; hard
 // failure would complicate every compute task for little gain).
 //
+// Scheduler workers acquire and release through a per-worker MAGAZINE (a
+// small Msg* stack behind its own lock, which only that worker takes on the
+// data path), trading half a magazine with the shared free list when it runs
+// empty or full. A message acquired on one worker and released on another
+// thus costs two uncontended locks instead of two round trips through one
+// contended mutex. Every other thread (pollers, load generators, tests) uses
+// the shared free list directly. Before an acquire counts a miss or a spill
+// it reclaims every magazine into the free list, so the pool runs dry only
+// when all `count` messages are really out.
+//
 // With `spill` set the pool is a SLICE of `spill` (share-nothing shard
-// slices): a dry free list delegates to the spill pool first (counted in
+// slices): a dry slice delegates to the spill pool first (counted in
 // slice_spills) and only heap-allocates when the spill pool is dry too.
 // Released messages return to the pool they were acquired from (MsgRef
 // carries the owner), so spilled acquisitions never pollute the slice.
@@ -89,9 +104,12 @@ class MsgPool {
   explicit MsgPool(size_t count, MsgPool* spill = nullptr);
   ~MsgPool();
 
+  MsgPool(const MsgPool&) = delete;
+  MsgPool& operator=(const MsgPool&) = delete;
+
   MsgRef Acquire();
 
-  // Acquires that found the free list dry and fell back to the HEAP — the
+  // Acquires that found the whole pool dry and fell back to the HEAP — the
   // uncounted-exhaustion fix: slice sizing is observable instead of silently
   // degrading to malloc on the data path.
   size_t pool_misses() const;
@@ -106,14 +124,36 @@ class MsgPool {
 
  private:
   friend class MsgRef;
-  void Release(Msg* msg);
 
-  mutable std::mutex mutex_;
+  // Messages a magazine holds at most; refills and spills move half.
+  static constexpr size_t kMagazineSize = 64;
+  // Magazines per pool; worker i uses magazine i % kMagazines.
+  static constexpr size_t kMagazines = 16;
+
+  struct alignas(64) Magazine {
+    std::mutex mutex;  // taken by its worker, and by ReclaimOrCount
+    size_t count = 0;
+    Msg* slots[kMagazineSize] = {};
+  };
+
+  void Release(Msg* msg);
+  // Calling worker's magazine; null on non-worker threads.
+  Magazine* LocalMagazine();
+  // Pops one message from the shared list (null when empty), moving up to
+  // half a magazine more into `mag` when given. Takes mutex_.
+  Msg* TakeShared(Magazine* mag);
+  // Empties every magazine into the shared list, then pops one message;
+  // null means the whole pool was dry, and the miss or spill is counted.
+  Msg* ReclaimOrCount();
+
+  mutable std::mutex mutex_;  // guards free_, overflow_, slice_spills_
   MsgPool* const spill_;
   std::vector<std::unique_ptr<Msg>> storage_;
   std::vector<Msg*> free_;
   size_t overflow_ = 0;
   size_t slice_spills_ = 0;
+  // Lock order: a magazine's mutex, then mutex_; never two magazines at once.
+  Magazine magazines_[kMagazines];
 };
 
 }  // namespace flick::runtime

@@ -118,7 +118,15 @@ void Scheduler::Enqueue(Task* task) {
 }
 
 void Scheduler::NotifyRunnable(Task* task) {
-  notifications_.fetch_add(1, std::memory_order_relaxed);
+  // Count on the calling worker's own cacheline: one process-wide counter
+  // bounced between every core that hands a message downstream.
+  const WorkerIdentity& caller = t_current_worker;
+  if (caller.owner == this) {
+    workers_[static_cast<size_t>(caller.index)]->notifications.fetch_add(
+        1, std::memory_order_relaxed);
+  } else {
+    foreign_notifications_.fetch_add(1, std::memory_order_relaxed);
+  }
   auto state = task->sched_state.load(std::memory_order_acquire);
   while (true) {
     switch (state) {
@@ -206,6 +214,7 @@ void Scheduler::WorkerLoop(int index) {
                      ("flick-wrk-" + std::to_string(index)).c_str());
   Worker& self = *workers_[static_cast<size_t>(index)];
   TaskContext ctx(config_.policy, config_.timeslice_ns, index);
+  const ScopedWorkerIndex identity(index, this);
 
   while (running_.load(std::memory_order_acquire)) {
     Task* task = PopLocal(self);
@@ -258,8 +267,9 @@ SchedulerStats Scheduler::stats() const {
     s.tasks_run += w->tasks_run.load(std::memory_order_relaxed);
     s.steals += w->steals.load(std::memory_order_relaxed);
     s.cross_shard_steals += w->cross_shard_steals.load(std::memory_order_relaxed);
+    s.notifications += w->notifications.load(std::memory_order_relaxed);
   }
-  s.notifications = notifications_.load(std::memory_order_relaxed);
+  s.notifications += foreign_notifications_.load(std::memory_order_relaxed);
   s.tasks_dropped_at_stop = tasks_dropped_at_stop_.load(std::memory_order_relaxed);
   return s;
 }

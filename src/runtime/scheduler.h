@@ -107,10 +107,13 @@ class Scheduler {
     std::thread thread;
     int group = 0;  // immutable after construction
     // Relaxed atomics: bumped by the owning worker thread, summed by
-    // stats() from any thread while workers are still running.
-    std::atomic<uint64_t> tasks_run{0};
+    // stats() from any thread while workers are still running. Kept off the
+    // cacheline of `mutex`, which every enqueuing thread writes.
+    alignas(64) std::atomic<uint64_t> tasks_run{0};
     std::atomic<uint64_t> steals{0};
     std::atomic<uint64_t> cross_shard_steals{0};
+    // NotifyRunnable calls made on this worker's thread.
+    std::atomic<uint64_t> notifications{0};
   };
 
   void WorkerLoop(int index);
@@ -125,7 +128,9 @@ class Scheduler {
   // (the last group ends at num_workers). size() == resolved group count.
   std::vector<int> group_begin_;
   std::atomic<bool> running_{false};
-  std::atomic<uint64_t> notifications_{0};
+  // NotifyRunnable calls from threads that are not this scheduler's workers
+  // (pollers, timers, tests); worker calls count in Worker::notifications.
+  std::atomic<uint64_t> foreign_notifications_{0};
   std::atomic<uint64_t> tasks_dropped_at_stop_{0};
 };
 

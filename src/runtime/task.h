@@ -82,6 +82,41 @@ class TaskContext {
 
 enum class TaskRunResult { kIdle, kMoreWork };
 
+class Scheduler;
+
+// The scheduler worker the calling thread is. Each worker publishes its
+// identity for its lifetime (ScopedWorkerIndex); every other thread —
+// pollers, load generators, tests — reads index -1. Per-worker caches key on
+// the index (MsgPool's magazines); the scheduler checks `owner` to tell its
+// own workers from another scheduler's.
+struct WorkerIdentity {
+  const Scheduler* owner = nullptr;
+  int index = -1;
+};
+
+inline thread_local WorkerIdentity t_current_worker;
+
+inline int CurrentWorkerIndex() { return t_current_worker.index; }
+
+// Publishes `index` as the calling thread's worker index until destroyed.
+// Scheduler workers use it; a harness may use it to drive the per-worker
+// paths from its own threads (per-worker caches stay correct when two
+// threads share an index, only slower).
+class ScopedWorkerIndex {
+ public:
+  explicit ScopedWorkerIndex(int index, const Scheduler* owner = nullptr)
+      : saved_(t_current_worker) {
+    t_current_worker = WorkerIdentity{owner, index};
+  }
+  ~ScopedWorkerIndex() { t_current_worker = saved_; }
+
+  ScopedWorkerIndex(const ScopedWorkerIndex&) = delete;
+  ScopedWorkerIndex& operator=(const ScopedWorkerIndex&) = delete;
+
+ private:
+  const WorkerIdentity saved_;
+};
+
 class Task {
  public:
   explicit Task(std::string name)

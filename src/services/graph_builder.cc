@@ -258,7 +258,9 @@ GraphBuilder::PooledLeg GraphBuilder::PoolLeg(BackendPool& pool, size_t backend_
   if (!status_.ok()) {
     return PooledLeg{};
   }
-  const std::string suffix = "-" + std::to_string(backend_index);
+  // Appended rather than `"-" + std::to_string(...)`: gcc 12 at -O3 reads
+  // that operator+'s inlined insert as an overlapping memcpy (-Wrestrict).
+  const std::string suffix = std::string("-").append(std::to_string(backend_index));
   PooledLeg leg;
   {
     NodeSpec spec;
@@ -359,7 +361,7 @@ std::vector<GraphBuilder::Leg> GraphBuilder::FanOut(
       legs.push_back(leg);
       continue;
     }
-    const std::string suffix = "-" + std::to_string(i);
+    const std::string suffix = std::string("-").append(std::to_string(i));
     leg.sink = Sink(base + "-out" + suffix, leg.conn, make_serializer());
     leg.source = Source(base + "-in" + suffix, leg.conn, make_deserializer(), capacity);
     if (leg.sink.valid() && capacity > 0) {

@@ -404,7 +404,7 @@ TEST_F(HadoopTest, EncodeParseRoundTrip) {
 TEST_F(HadoopTest, StreamOfPairs) {
   std::string wire;
   for (int i = 0; i < 50; ++i) {
-    EncodeKv("w" + std::to_string(i), std::to_string(i), &wire);
+    EncodeKv(std::string("w").append(std::to_string(i)), std::to_string(i), &wire);
   }
   BufferChain input(&pool_);
   ASSERT_TRUE(input.Append(wire));
@@ -412,7 +412,7 @@ TEST_F(HadoopTest, StreamOfPairs) {
   for (int i = 0; i < 50; ++i) {
     Message msg;
     ASSERT_EQ(parser.Feed(input, &msg), ParseStatus::kDone) << i;
-    EXPECT_EQ(HadoopKv(&msg).key(), "w" + std::to_string(i));
+    EXPECT_EQ(HadoopKv(&msg).key(), std::string("w").append(std::to_string(i)));
   }
 }
 

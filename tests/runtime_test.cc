@@ -1,15 +1,22 @@
-// Runtime tests: message pool, scheduler (policies, affinity, stealing,
-// notify-while-running), channels (notification + backpressure), IO poller,
-// IO tasks, compute/merge tasks, graph pool, state store, and a platform-level
-// end-to-end echo service.
+// Runtime tests: message pool (per-worker magazines, exact miss accounting),
+// scheduler (policies, affinity, stealing, notify-while-running), channels
+// (notification + backpressure), IO poller, IO tasks, compute/merge tasks,
+// graph pool, state store, and a platform-level end-to-end echo service.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <optional>
 #include <thread>
+#include <vector>
 
+#include "buffer/buffer_chain.h"
+#include "buffer/buffer_pool.h"
+#include "concurrency/spsc_ring.h"
 #include "net/sim_transport.h"
 #include "runtime/channel.h"
+#include "runtime/codec.h"
 #include "runtime/compute_task.h"
 #include "runtime/io_poller.h"
 #include "runtime/io_tasks.h"
@@ -73,6 +80,148 @@ TEST(MsgPoolTest, AcquiredMsgIsClean) {
   EXPECT_EQ(b->kind, Msg::Kind::kBytes);
   EXPECT_TRUE(b->bytes.empty());
   EXPECT_EQ(b->route, -1);
+}
+
+// Leaves messages parked in worker 0's and worker 1's magazines: each worker
+// thread acquires a batch and releases it into its own magazine.
+void ParkInTwoMagazines(MsgPool& pool) {
+  for (int worker : {0, 1}) {
+    std::thread([&pool, worker] {
+      const ScopedWorkerIndex identity(worker);
+      std::vector<MsgRef> batch;
+      for (int i = 0; i < 40; ++i) {
+        batch.push_back(pool.Acquire());
+      }
+    }).join();
+  }
+}
+
+// Exact accounting across magazines: a pool whose messages are spread over
+// two workers' magazines and the shared list serves exactly `count`
+// acquires with no miss — from a worker that parked some, a worker that
+// parked none, and a non-worker thread — and counts the next one once.
+TEST(MsgPoolTest, MissCountedOnlyWhenEveryMagazineIsDry) {
+  constexpr size_t kCount = 200;
+  for (int acquirer : {0, 5, -1}) {
+    SCOPED_TRACE("acquiring worker " + std::to_string(acquirer));
+    MsgPool pool(kCount);
+    ParkInTwoMagazines(pool);
+    std::vector<MsgRef> held;
+    {
+      std::optional<ScopedWorkerIndex> identity;
+      if (acquirer >= 0) {
+        identity.emplace(acquirer);
+      }
+      for (size_t i = 0; i < kCount; ++i) {
+        held.push_back(pool.Acquire());
+      }
+      EXPECT_EQ(pool.pool_misses(), 0u);
+      held.push_back(pool.Acquire());
+    }
+    EXPECT_EQ(pool.pool_misses(), 1u);
+  }
+}
+
+TEST(MsgPoolTest, SliceSpillCountedOnlyWhenEveryMagazineIsDry) {
+  constexpr size_t kCount = 200;
+  MsgPool parent(8);
+  MsgPool slice(kCount, &parent);
+  ParkInTwoMagazines(slice);
+  std::vector<MsgRef> held;
+  {
+    const ScopedWorkerIndex identity(0);
+    for (size_t i = 0; i < kCount; ++i) {
+      held.push_back(slice.Acquire());
+    }
+    EXPECT_EQ(slice.slice_spills(), 0u);
+    held.push_back(slice.Acquire());
+  }
+  EXPECT_EQ(slice.slice_spills(), 1u);
+  EXPECT_EQ(slice.pool_misses(), 0u);
+  EXPECT_EQ(parent.pool_misses(), 0u);
+}
+
+// Acquires on one task and releases on another, the input-task -> merge-task
+// shape of a task graph. Both tasks run until done, so with two workers the
+// idle one steals whichever task is queued behind the other: they end up on
+// different workers.
+class RingEndTask : public Task {
+ public:
+  RingEndTask(bool producer, MsgPool* pool, SpscRing<MsgRef>* ring, uint64_t count)
+      : Task(producer ? "acquirer" : "releaser"),
+        producer_(producer), pool_(pool), ring_(ring), count_(count) {}
+
+  TaskRunResult Run(TaskContext& ctx) override {
+    worker.store(ctx.worker_index());
+    for (uint64_t i = 0; i < count_; ++i) {
+      if (producer_) {
+        MsgRef msg = pool_->Acquire();
+        while (!ring_->TryPush(std::move(msg))) {
+          std::this_thread::yield();
+        }
+      } else {
+        std::optional<MsgRef> msg;
+        while (!(msg = ring_->TryPop())) {
+          std::this_thread::yield();
+        }
+      }
+    }
+    done.store(true);
+    return TaskRunResult::kIdle;
+  }
+
+  std::atomic<int> worker{-1};
+  std::atomic<bool> done{false};
+
+ private:
+  const bool producer_;
+  MsgPool* const pool_;
+  SpscRing<MsgRef>* const ring_;
+  const uint64_t count_;
+};
+
+TEST(MsgPoolTest, CrossWorkerAcquireReleaseNeverMisses) {
+  constexpr uint64_t kMessages = 1'000'000;
+  auto pool = std::make_unique<MsgPool>(256);
+  SpscRing<MsgRef> ring(64);
+  RingEndTask acquirer(/*producer=*/true, pool.get(), &ring, kMessages);
+  RingEndTask releaser(/*producer=*/false, pool.get(), &ring, kMessages);
+  Scheduler sched(SchedulerConfig{.num_workers = 2,
+                                  .policy = SchedulingPolicy::kNonCooperative});
+  sched.Start();
+  sched.NotifyRunnable(&acquirer);
+  sched.NotifyRunnable(&releaser);
+  ASSERT_TRUE(WaitFor([&] { return acquirer.done.load() && releaser.done.load(); },
+                      std::chrono::minutes(5)));
+  sched.Quiesce(&acquirer);
+  sched.Quiesce(&releaser);
+  sched.Stop();
+  EXPECT_NE(acquirer.worker.load(), releaser.worker.load());
+  EXPECT_EQ(pool->pool_misses(), 0u);
+  pool.reset();  // ~MsgPool checks that every message came back
+}
+
+TEST(MsgPoolTest, PartialHttpParseComesBackClean) {
+  BufferPool buffers(4, 1024);
+  MsgPool pool(1);
+  {
+    BufferChain rx(&buffers);
+    ASSERT_TRUE(rx.Append("POST /upload HTTP/1.1\r\nHost: a\r\n"
+                          "Content-Length: 10\r\n\r\nabc"));
+    HttpDeserializer codec(proto::HttpParser::Mode::kRequest);
+    MsgRef msg = pool.Acquire();
+    ASSERT_EQ(codec.Deserialize(rx, msg.get()), ParseStatus::kNeedMore);
+    ASSERT_EQ(msg->http.method, "POST");
+    ASSERT_FALSE(msg->http.headers.empty());
+  }
+  MsgRef again = pool.Acquire();
+  EXPECT_EQ(pool.pool_misses(), 0u);
+  EXPECT_TRUE(again->http.method.empty());
+  EXPECT_TRUE(again->http.target.empty());
+  EXPECT_TRUE(again->http.headers.empty());
+  EXPECT_TRUE(again->http.body.empty());
+  EXPECT_EQ(again->http.content_length, 0u);
+  EXPECT_EQ(again->http.wire_size, 0u);
 }
 
 // ------------------------------------------------------------- TaskContext ----
@@ -465,7 +614,7 @@ TEST(ComputeTaskTest, BlockedHandlerRetriesSameMessage) {
   constexpr int kCount = 10;
   for (int i = 0; i < kCount; ++i) {
     MsgRef m = msgs.Acquire();
-    m->bytes = "m" + std::to_string(i);
+    m->bytes = std::string("m").append(std::to_string(i));
     ASSERT_TRUE(in.TryPush(std::move(m)));
   }
   // Slowly drain the output; every message must arrive exactly once, in order.
@@ -479,10 +628,113 @@ TEST(ComputeTaskTest, BlockedHandlerRetriesSameMessage) {
     }
   }
   for (int i = 0; i < kCount; ++i) {
-    EXPECT_EQ(got[static_cast<size_t>(i)], "m" + std::to_string(i));
+    EXPECT_EQ(got[static_cast<size_t>(i)], std::string("m").append(std::to_string(i)));
   }
   sched.Quiesce(&task);
   sched.Stop();
+}
+
+// A handler that checks CanEmit and answers kBlocked never calls TryPush;
+// the task must still be woken when the full output drains, with no new
+// input arriving.
+TEST(ComputeTaskTest, CanEmitPrecheckResumesWhenOutputDrains) {
+  Scheduler sched(SchedulerConfig{.num_workers = 1});
+  sched.Start();
+  MsgPool msgs(16);
+  Channel in(4), out(1);
+
+  ComputeTask task(
+      "precheck",
+      [](Msg& msg, size_t, EmitContext& emit) {
+        if (!emit.CanEmit(0)) {
+          return HandleResult::kBlocked;
+        }
+        MsgRef copy = emit.NewMsg();
+        copy->bytes = msg.bytes;
+        EXPECT_TRUE(emit.Emit(0, std::move(copy)));
+        return HandleResult::kConsumed;
+      },
+      &msgs);
+  task.AddInput(&in, &sched);
+  task.AddOutput(&out);
+  out.BindConsumer(nullptr, &sched);
+
+  while (!out.Full()) {
+    ASSERT_TRUE(out.TryPush(msgs.Acquire()));
+  }
+  MsgRef m = msgs.Acquire();
+  m->bytes = "parked";
+  ASSERT_TRUE(in.TryPush(std::move(m)));
+  // The handler ran, found the output full and the task went idle.
+  ASSERT_TRUE(WaitFor([&] {
+    return task.run_count.load() >= 1 &&
+           task.sched_state.load() == Task::SchedState::kIdle;
+  }));
+  EXPECT_EQ(task.messages_handled(), 0u);
+
+  EXPECT_TRUE(out.TryPop());  // the consumer drains one slot
+  EXPECT_TRUE(WaitFor([&] { return task.messages_handled() == 1; }));
+  sched.Quiesce(&task);
+  sched.Stop();
+  MsgRef last;
+  while (MsgRef popped = out.TryPop()) {
+    last = std::move(popped);
+  }
+  ASSERT_TRUE(last);
+  EXPECT_EQ(last->bytes, "parked");
+}
+
+// A message blocked on a full output stops only its own input: the stage
+// keeps answering replies on its other input while the request side is full
+// (otherwise the replies back up into the backend and the two wait on each
+// other), and the parked request goes out once its output drains.
+TEST(ComputeTaskTest, BlockedInputLeavesOtherInputsDraining) {
+  Scheduler sched(SchedulerConfig{.num_workers = 1});
+  sched.Start();
+  MsgPool msgs(32);
+  Channel requests(4), replies(4), to_backend(1), to_client(8);
+
+  ComputeTask task(
+      "dispatch",
+      [](Msg& msg, size_t input_index, EmitContext& emit) {
+        MsgRef copy = emit.NewMsg();
+        copy->bytes = msg.bytes;
+        return emit.Emit(input_index, std::move(copy)) ? HandleResult::kConsumed
+                                                       : HandleResult::kBlocked;
+      },
+      &msgs);
+  task.AddInput(&requests, &sched);  // -> output 0, to the backend
+  task.AddInput(&replies, &sched);   // -> output 1, to the client
+  task.AddOutput(&to_backend);
+  task.AddOutput(&to_client);
+  to_backend.BindConsumer(nullptr, &sched);
+  to_client.BindConsumer(nullptr, &sched);
+
+  while (!to_backend.Full()) {
+    ASSERT_TRUE(to_backend.TryPush(msgs.Acquire()));
+  }
+  MsgRef request = msgs.Acquire();
+  request->bytes = "request";
+  ASSERT_TRUE(requests.TryPush(std::move(request)));
+  constexpr size_t kReplies = 3;
+  for (size_t i = 0; i < kReplies; ++i) {
+    MsgRef reply = msgs.Acquire();
+    reply->bytes = "reply";
+    ASSERT_TRUE(replies.TryPush(std::move(reply)));
+  }
+  EXPECT_TRUE(WaitFor([&] { return task.messages_handled() == kReplies; }));
+  EXPECT_EQ(to_client.SizeApprox(), kReplies);
+
+  EXPECT_TRUE(to_backend.TryPop());  // the backend drains one slot
+  EXPECT_TRUE(WaitFor([&] { return task.messages_handled() == kReplies + 1; }));
+  sched.Quiesce(&task);
+  sched.Stop();
+  MsgRef last;
+  while (MsgRef popped = to_backend.TryPop()) {
+    last = std::move(popped);
+  }
+  ASSERT_TRUE(last);
+  EXPECT_EQ(last->bytes, "request");
 }
 
 // --------------------------------------------------------------- MergeTask ----
@@ -610,7 +862,7 @@ TEST(StateStoreTest, ConcurrentAccessIsSafe) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&store, t] {
       for (int i = 0; i < 2000; ++i) {
-        const std::string key = "k" + std::to_string(i % 50);
+        const std::string key = std::string("k").append(std::to_string(i % 50));
         store.Put("shared", key, std::to_string(t));
         (void)store.Get("shared", key);
       }

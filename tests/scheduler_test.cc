@@ -262,7 +262,7 @@ TEST(SchedulerGroups, StealPrefersOwnGroupBeforeCrossing) {
 
   std::vector<std::unique_ptr<RecordingTask>> tasks;
   for (int i = 0; i < 32; ++i) {
-    auto task = std::make_unique<RecordingTask>("t" + std::to_string(i),
+    auto task = std::make_unique<RecordingTask>(std::string("t").append(std::to_string(i)),
                                                 /*reruns=*/4);
     task->shard_affinity = 0;
     tasks.push_back(std::move(task));
@@ -310,7 +310,8 @@ TEST(SchedulerStop, DrainsQueuedTasksAndCountsThem) {
   // and every drained task reset to kIdle so Quiesce cannot hang.
   std::vector<std::unique_ptr<RecordingTask>> backlog;
   for (int i = 0; i < 6; ++i) {
-    backlog.push_back(std::make_unique<RecordingTask>("q" + std::to_string(i)));
+    backlog.push_back(
+        std::make_unique<RecordingTask>(std::string("q").append(std::to_string(i))));
     sched.NotifyRunnable(backlog.back().get());
   }
 

@@ -45,7 +45,7 @@ TEST(StateStoreSuite, OverwriteDoesNotDuplicateFifoRecord) {
   StateStore store(/*max_entries_per_dict=*/1);  // per-shard bound = 1
   store.Put("d", "k", "v1");
   for (int i = 0; i < 100; ++i) {
-    store.Put("d", "k", "v" + std::to_string(i));
+    store.Put("d", "k", std::string("v").append(std::to_string(i)));
   }
   // With duplicated records the eviction loop would have popped the live
   // entry long before the 100th overwrite.
@@ -73,7 +73,7 @@ TEST(StateStoreSuite, EraseRePutCyclesStayBounded) {
   StateStore store(/*max_entries_per_dict=*/64);
   for (int i = 0; i < 5000; ++i) {
     const std::string key = "cycle" + std::to_string(i % 8);
-    store.Put("d", key, "v" + std::to_string(i));
+    store.Put("d", key, std::string("v").append(std::to_string(i)));
     if (i % 2 == 1) {
       EXPECT_TRUE(store.Erase("d", key));
     }
@@ -116,7 +116,7 @@ TEST(StateStoreSuite, ConcurrentPutGetEraseAcrossShards) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&store, t] {
       for (int i = 0; i < 2000; ++i) {
-        const std::string key = "k" + std::to_string(i % 64);
+        const std::string key = std::string("k").append(std::to_string(i % 64));
         store.Put("shared", key, std::to_string(t));
         (void)store.Get("shared", key);
         if (i % 7 == 0) {
