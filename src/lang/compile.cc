@@ -138,12 +138,7 @@ runtime::ComputeTask::Handler MakeProcHandler(std::shared_ptr<const CompiledProg
                     runtime::EmitContext& emit) -> runtime::HandleResult {
     if (msg.kind == runtime::Msg::Kind::kEof) {
       // Forward EOF to every output so downstream IO tasks can close.
-      for (size_t out = 0; out < emit.output_count(); ++out) {
-        runtime::MsgRef eof = emit.NewMsg();
-        eof->kind = runtime::Msg::Kind::kEof;
-        (void)emit.Emit(out, std::move(eof));
-      }
-      return runtime::HandleResult::kConsumed;
+      return runtime::BroadcastEof(emit);
     }
 
     const std::string* param_name = wiring.ParamForInput(input_index);
@@ -213,6 +208,7 @@ runtime::ComputeTask::Handler MakeProcHandler(std::shared_ptr<const CompiledProg
       }
     }
 
+    interp->Commit(fx);
     interp->ClearTemps();
     return fx.blocked ? runtime::HandleResult::kBlocked : runtime::HandleResult::kConsumed;
   };

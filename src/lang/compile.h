@@ -2,10 +2,11 @@
 // message grammars + executable task-graph pieces.
 //
 // The paper's compiler emits C++ linked against the platform; this
-// implementation compiles to the same task-graph structures and executes
-// function bodies with a bounded evaluator (see DESIGN.md §2 for the
-// substitution rationale). `codegen_cpp.h` emits the equivalent C++ source
-// for inspection.
+// implementation compiles to the same task-graph structures. Dispatch rules
+// run natively through the lowering pass's plans (`lower.h`) where it can
+// prove them, and through the bounded evaluator here otherwise: the
+// evaluator is the reference semantics and the fallback. `codegen_cpp.h`
+// emits C++ that fills the same plans ahead of time.
 #ifndef FLICK_LANG_COMPILE_H_
 #define FLICK_LANG_COMPILE_H_
 

@@ -64,9 +64,8 @@ Value Interp::ExecBlock(const std::vector<StmtPtr>& block, Env& env, Effects& fx
           }
           // No StateStore bound (e.g. stateless env): dict writes no-op.
           if (state_ != nullptr) {
-            state_->Put(dict.dict, key.s, std::move(stored));
+            fx.writes.emplace_back(dict.dict, key.s, std::move(stored));
           }
-          fx.effects_done = true;
         }
         break;
       }
@@ -128,6 +127,15 @@ Value Interp::CallFun(const FunDecl& fun, std::vector<Value> args, Effects& fx) 
   Value result = ExecBlock(fun.body, env, fx);
   --call_depth_;
   return result;
+}
+
+void Interp::Commit(Effects& fx) {
+  if (!fx.blocked && state_ != nullptr) {
+    for (auto& [dict, key, value] : fx.writes) {
+      state_->Put(dict, key, std::move(value));
+    }
+  }
+  fx.writes.clear();
 }
 
 bool Interp::EmitValueTo(int output_index, const Value& value, Effects& fx) {
@@ -245,6 +253,11 @@ Value Interp::EvalIndex(const Expr& expr, Env& env, Effects& fx) {
   if (base.kind == Value::Kind::kDict) {
     if (idx.kind != Value::Kind::kString) {
       return Value::None();
+    }
+    for (auto it = fx.writes.rbegin(); it != fx.writes.rend(); ++it) {
+      if (std::get<0>(*it) == base.dict && std::get<1>(*it) == idx.s) {
+        return Value::Str(std::get<2>(*it));
+      }
     }
     // No StateStore bound: every lookup misses.
     auto stored = state_ != nullptr ? state_->Get(base.dict, idx.s) : std::nullopt;

@@ -13,6 +13,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "lang/ast.h"
 #include "lang/compile.h"
@@ -32,9 +34,13 @@ class Interp {
   // Per-invocation side-channel: emission context + outcome flags.
   struct Effects {
     runtime::EmitContext* emit = nullptr;
-    bool blocked = false;        // first send failed before any effect
-    bool effects_done = false;   // at least one external effect happened
-    uint64_t dropped_sends = 0;  // sends abandoned after prior effects
+    bool blocked = false;        // first send failed before any other send
+    bool effects_done = false;   // at least one send happened
+    uint64_t dropped_sends = 0;  // sends abandoned after prior sends
+    // Dict writes as (dict, key, value), held back until Commit so that a
+    // blocked invocation has no effects and replays cleanly. Lookups in the
+    // same invocation see them.
+    std::vector<std::tuple<std::string, std::string, std::string>> writes;
   };
 
   using Env = std::map<std::string, Value>;
@@ -50,6 +56,9 @@ class Interp {
   // Sends `value` to the channel denoted by `target` under `env`.
   // Returns false only when the caller should retry the whole invocation.
   bool Send(const Expr& target, const Value& value, Env& env, Effects& fx);
+
+  // Applies the invocation's dict writes unless it blocked.
+  void Commit(Effects& fx);
 
   // Allocates a temporary record of `type` owned by this Interp. Temps live
   // until ClearTemps().

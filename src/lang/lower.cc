@@ -506,9 +506,14 @@ runtime::HandleResult RunPlan(const RulePlan& plan, grammar::Message& msg,
   return runtime::HandleResult::kConsumed;
 }
 
-bool PlanNeedsState(const RulePlan& plan) {
-  return plan.shape == RulePlan::Shape::kCacheUpdateForward ||
-         plan.shape == RulePlan::Shape::kCacheTestRoute;
+// A plan MakePlanHandler cannot run natively: a cache shape with no store,
+// or a route with no targets (a backend array of size 0).
+bool PlanUnrunnable(const RulePlan& plan, const runtime::StateStore* state) {
+  const bool cache = plan.shape == RulePlan::Shape::kCacheUpdateForward ||
+                     plan.shape == RulePlan::Shape::kCacheTestRoute;
+  const bool routes = plan.shape == RulePlan::Shape::kHashRoute ||
+                      plan.shape == RulePlan::Shape::kCacheTestRoute;
+  return (cache && state == nullptr) || (routes && plan.route_outs.empty());
 }
 
 }  // namespace
@@ -578,59 +583,51 @@ ProcPlan AnalyzeProc(const CompiledProgram& program, const ProcDecl& proc,
   return result;
 }
 
+runtime::ComputeTask::Handler MakePlanHandler(ProcPlan plan, runtime::StateStore* state,
+                                              runtime::ComputeTask::Handler fallback,
+                                              DslDispatchCounters counters) {
+  // Demote unrunnable plans to the fallback (the interpreter no-ops dict
+  // access without a store, and drops a send to an empty array).
+  for (auto& rule : plan.rules) {
+    if (rule.has_value() && PlanUnrunnable(*rule, state)) {
+      rule.reset();
+    }
+  }
+  return [plan = std::move(plan), fallback = std::move(fallback), state,
+          counters](runtime::Msg& msg, size_t input_index,
+                    runtime::EmitContext& emit) -> runtime::HandleResult {
+    if (msg.kind == runtime::Msg::Kind::kEof) {
+      return runtime::BroadcastEof(emit);
+    }
+    const RulePlan* rule = input_index < plan.rules.size() &&
+                                   plan.rules[input_index].has_value()
+                               ? &*plan.rules[input_index]
+                               : nullptr;
+    runtime::HandleResult result = runtime::HandleResult::kConsumed;
+    std::atomic<uint64_t>* counter = nullptr;
+    if (rule != nullptr && msg.kind == runtime::Msg::Kind::kGrammar) {
+      result = RunPlan(*rule, msg.gmsg, emit, state);
+      counter = counters.lowered_msgs;
+    } else if (fallback) {
+      result = fallback(msg, input_index, emit);
+      counter = counters.interp_fallbacks;
+    }
+    if (result == runtime::HandleResult::kConsumed && counter != nullptr) {
+      counter->fetch_add(1, std::memory_order_relaxed);
+    }
+    return result;
+  };
+}
+
 runtime::ComputeTask::Handler MakeLoweredProcHandler(
     std::shared_ptr<const CompiledProgram> program, const ProcDecl* proc,
     ProcWiring wiring, runtime::StateStore* state, std::string state_prefix,
     DslDispatchCounters counters) {
-  auto plan = std::make_shared<ProcPlan>(AnalyzeProc(*program, *proc, wiring));
-  if (state == nullptr) {
-    // Cache shapes need the store; demote those inputs to the interpreter
-    // (which no-ops dict access without a store, but stays semantically safe).
-    for (auto& rule : plan->rules) {
-      if (rule.has_value() && PlanNeedsState(*rule)) {
-        rule.reset();
-      }
-    }
-  }
-  auto fallback =
-      MakeProcHandler(std::move(program), proc, std::move(wiring), state,
-                      std::move(state_prefix));
-
-  return [plan, fallback = std::move(fallback), state,
-          counters](runtime::Msg& msg, size_t input_index,
-                    runtime::EmitContext& emit) -> runtime::HandleResult {
-    if (msg.kind == runtime::Msg::Kind::kEof) {
-      // All-or-nothing EOF broadcast (hand-written-service discipline).
-      for (size_t out = 0; out < emit.output_count(); ++out) {
-        if (!emit.CanEmit(out)) {
-          return runtime::HandleResult::kBlocked;
-        }
-      }
-      for (size_t out = 0; out < emit.output_count(); ++out) {
-        runtime::MsgRef eof = emit.NewMsg();
-        eof->kind = runtime::Msg::Kind::kEof;
-        (void)emit.Emit(out, std::move(eof));
-      }
-      return runtime::HandleResult::kConsumed;
-    }
-
-    const RulePlan* rule = input_index < plan->rules.size() &&
-                                   plan->rules[input_index].has_value()
-                               ? &*plan->rules[input_index]
-                               : nullptr;
-    if (rule == nullptr || msg.kind != runtime::Msg::Kind::kGrammar) {
-      if (counters.interp_fallbacks != nullptr) {
-        counters.interp_fallbacks->fetch_add(1, std::memory_order_relaxed);
-      }
-      return fallback(msg, input_index, emit);
-    }
-    const runtime::HandleResult result = RunPlan(*rule, msg.gmsg, emit, state);
-    if (result == runtime::HandleResult::kConsumed &&
-        counters.lowered_msgs != nullptr) {
-      counters.lowered_msgs->fetch_add(1, std::memory_order_relaxed);
-    }
-    return result;
-  };
+  ProcPlan plan = AnalyzeProc(*program, *proc, wiring);
+  return MakePlanHandler(std::move(plan), state,
+                         MakeProcHandler(std::move(program), proc, std::move(wiring),
+                                         state, std::move(state_prefix)),
+                         counters);
 }
 
 }  // namespace flick::lang

@@ -13,8 +13,11 @@
 // one lowerable rule and one opaque rule still runs the fast path where it
 // can. Lowered handlers reproduce the interpreter's observable semantics
 // (hash masking, dict key/value encoding, cache hits emitted as raw bytes)
-// but adopt the hand-written services' blocked-retry discipline: every side
-// effect happens only after the committing emit is known to succeed.
+// and its blocked-retry discipline: a blocked message leaves no side effect,
+// so every effect happens once, when the committing emit succeeds.
+//
+// MakePlanHandler is the only native implementation of rule semantics: the
+// lowered service handler and the C++ that codegen_cpp emits both run it.
 #ifndef FLICK_LANG_LOWER_H_
 #define FLICK_LANG_LOWER_H_
 
@@ -80,9 +83,19 @@ struct DslDispatchCounters {
   std::atomic<uint64_t>* interp_fallbacks = nullptr;
 };
 
-// Builds a ComputeTask handler that runs lowered plans where AnalyzeProc
-// proved them and falls back to the interpreter (MakeProcHandler) per message
-// otherwise. Drop-in replacement for MakeProcHandler.
+// The one native dispatcher for FLICK rules. Runs rules[input] against each
+// parsed kGrammar message; every other data message (no plan for its input,
+// or not kGrammar) goes to `fallback`, or is dropped when `fallback` is
+// empty. EOF is broadcast all-or-nothing (runtime::BroadcastEof). Cache plans
+// are demoted to the fallback when `state` is null, and route plans when
+// they have no route_outs. Each counter counts a message once, when its
+// handling returns kConsumed.
+runtime::ComputeTask::Handler MakePlanHandler(ProcPlan plan, runtime::StateStore* state,
+                                              runtime::ComputeTask::Handler fallback,
+                                              DslDispatchCounters counters = {});
+
+// AnalyzeProc + MakePlanHandler with the interpreter (MakeProcHandler) as the
+// per-message fallback. Drop-in replacement for MakeProcHandler.
 runtime::ComputeTask::Handler MakeLoweredProcHandler(
     std::shared_ptr<const CompiledProgram> program, const ProcDecl* proc,
     ProcWiring wiring, runtime::StateStore* state, std::string state_prefix,

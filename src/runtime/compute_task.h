@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/channel.h"
@@ -35,6 +36,17 @@ class EmitContext {
 
   bool CanEmit(size_t output_index) const { return !(*outputs_)[output_index]->Full(); }
 
+  // True when every output has room: the pre-check for an all-or-nothing
+  // broadcast. Sound only while this stage is each output's sole producer.
+  bool CanEmitAll() const {
+    for (size_t i = 0; i < outputs_->size(); ++i) {
+      if (!CanEmit(i)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   bool Emit(size_t output_index, MsgRef&& msg) {
     return (*outputs_)[output_index]->TryPush(std::move(msg));
   }
@@ -51,6 +63,21 @@ enum class HandleResult {
   kConsumed,  // message fully handled
   kBlocked,   // output full: re-deliver this message later (its input waits)
 };
+
+// All-or-nothing EOF broadcast: kBlocked unless every output has room,
+// otherwise EOF to every output. A dropped EOF would leave a downstream IO
+// task open and its graph unretirable, so stages forward EOF through this.
+inline HandleResult BroadcastEof(EmitContext& emit) {
+  if (!emit.CanEmitAll()) {
+    return HandleResult::kBlocked;
+  }
+  for (size_t out = 0; out < emit.output_count(); ++out) {
+    MsgRef eof = emit.NewMsg();
+    eof->kind = Msg::Kind::kEof;
+    (void)emit.Emit(out, std::move(eof));
+  }
+  return HandleResult::kConsumed;
+}
 
 class ComputeTask : public Task {
  public:

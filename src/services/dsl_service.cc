@@ -180,19 +180,11 @@ runtime::ComputeTask::Handler DslService::BuildHandler(const lang::ProcWiring& w
     return lang::MakeLoweredProcHandler(program_, proc_, wiring, env.state,
                                         proc_->name, counters);
   }
-  // Interpreter arm (the ablation baseline): every data message runs through
-  // the bounded evaluator and is accounted as a fallback.
-  auto interp = lang::MakeProcHandler(program_, proc_, wiring, env.state, proc_->name);
-  std::atomic<uint64_t>* fallbacks = counters.interp_fallbacks;
-  return [interp = std::move(interp), fallbacks](runtime::Msg& msg, size_t input_index,
-                                                 runtime::EmitContext& emit) {
-    const bool data = msg.kind != runtime::Msg::Kind::kEof;
-    const runtime::HandleResult r = interp(msg, input_index, emit);
-    if (data && r == runtime::HandleResult::kConsumed) {
-      fallbacks->fetch_add(1, std::memory_order_relaxed);
-    }
-    return r;
-  };
+  // Interpreter arm (the ablation baseline): an empty plan sends every data
+  // message through the bounded evaluator, accounted as a fallback.
+  return lang::MakePlanHandler(
+      lang::ProcPlan{}, env.state,
+      lang::MakeProcHandler(program_, proc_, wiring, env.state, proc_->name), counters);
 }
 
 void DslService::OnConnection(std::unique_ptr<Connection> conn,

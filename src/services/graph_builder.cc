@@ -37,10 +37,8 @@ void CopyMsg(runtime::Msg& dst, const runtime::Msg& src) {
 // double-sends a message.
 runtime::HandleResult TeeHandler(runtime::Msg& msg, size_t /*input_index*/,
                                  runtime::EmitContext& emit) {
-  for (size_t i = 0; i < emit.output_count(); ++i) {
-    if (!emit.CanEmit(i)) {
-      return runtime::HandleResult::kBlocked;
-    }
+  if (!emit.CanEmitAll()) {
+    return runtime::HandleResult::kBlocked;
   }
   for (size_t i = 0; i < emit.output_count(); ++i) {
     runtime::MsgRef copy = emit.NewMsg();

@@ -82,21 +82,7 @@ void HttpLbService::OnConnection(std::unique_ptr<Connection> conn,
                     if (input_index != 0) {
                       return runtime::HandleResult::kConsumed;
                     }
-                    // All-or-nothing broadcast: a dropped EOF would leave
-                    // client-out open forever (the graph never retires), so
-                    // block until every output has room. Safe to pre-check:
-                    // this stage is each output's only producer.
-                    for (size_t o = 0; o < 2; ++o) {
-                      if (!emit.CanEmit(o)) {
-                        return runtime::HandleResult::kBlocked;
-                      }
-                    }
-                    for (size_t o = 0; o < 2; ++o) {
-                      runtime::MsgRef eof = emit.NewMsg();
-                      eof->kind = runtime::Msg::Kind::kEof;
-                      emit.Emit(o, std::move(eof));
-                    }
-                    return runtime::HandleResult::kConsumed;
+                    return runtime::BroadcastEof(emit);
                   }
                   if (msg.kind == runtime::Msg::Kind::kError) {
                     // The pooled leg failed this request (deadline expiry,
@@ -141,11 +127,7 @@ void HttpLbService::OnConnection(std::unique_ptr<Connection> conn,
         b.Stage("dispatch",
                 [this](runtime::Msg& msg, size_t, runtime::EmitContext& emit) {
                   if (msg.kind == runtime::Msg::Kind::kEof) {
-                    runtime::MsgRef eof = emit.NewMsg();
-                    eof->kind = runtime::Msg::Kind::kEof;
-                    return emit.Emit(0, std::move(eof))
-                               ? runtime::HandleResult::kConsumed
-                               : runtime::HandleResult::kBlocked;
+                    return runtime::BroadcastEof(emit);
                   }
                   runtime::MsgRef fwd = emit.NewMsg();
                   fwd->kind = runtime::Msg::Kind::kHttp;

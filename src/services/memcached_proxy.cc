@@ -46,21 +46,8 @@ NodeRef MemcachedProxyService::DispatchStage(GraphBuilder& b, size_t n) {
           }
           // Client left: signal all backend legs and the client leg (a
           // pooled leg treats the EOF as "this graph is done" without
-          // touching the shared wire). All-or-nothing: a dropped EOF would
-          // leave client-out open and the graph unretirable, so block until
-          // every output has room — safe to pre-check, this stage is each
-          // output's only producer.
-          for (size_t o = 0; o <= n; ++o) {
-            if (!emit.CanEmit(o)) {
-              return runtime::HandleResult::kBlocked;
-            }
-          }
-          for (size_t o = 0; o <= n; ++o) {
-            runtime::MsgRef eof = emit.NewMsg();
-            eof->kind = runtime::Msg::Kind::kEof;
-            emit.Emit(o, std::move(eof));
-          }
-          return runtime::HandleResult::kConsumed;
+          // touching the shared wire).
+          return runtime::BroadcastEof(emit);
         }
         if (input_index == 0) {
           // Request from the client: route by key hash.
@@ -146,19 +133,8 @@ NodeRef MemcachedProxyService::CachingDispatchStage(GraphBuilder& b, size_t n,
           if (input_index != 0) {
             return runtime::HandleResult::kConsumed;
           }
-          // Client left: same all-or-nothing EOF broadcast as the plain
-          // dispatch stage.
-          for (size_t o = 0; o <= n; ++o) {
-            if (!emit.CanEmit(o)) {
-              return runtime::HandleResult::kBlocked;
-            }
-          }
-          for (size_t o = 0; o <= n; ++o) {
-            runtime::MsgRef eof = emit.NewMsg();
-            eof->kind = runtime::Msg::Kind::kEof;
-            emit.Emit(o, std::move(eof));
-          }
-          return runtime::HandleResult::kConsumed;
+          // Client left: same EOF broadcast as the plain dispatch stage.
+          return runtime::BroadcastEof(emit);
         }
         if (input_index == 0) {
           proto::MemcachedCommand cmd(&msg.gmsg);

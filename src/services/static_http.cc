@@ -17,11 +17,7 @@ void StaticHttpService::OnConnection(std::unique_ptr<Connection> conn,
       b.Stage("respond",
               [this](runtime::Msg& msg, size_t, runtime::EmitContext& emit) {
                 if (msg.kind == runtime::Msg::Kind::kEof) {
-                  runtime::MsgRef eof = emit.NewMsg();
-                  eof->kind = runtime::Msg::Kind::kEof;
-                  return emit.Emit(0, std::move(eof))
-                             ? runtime::HandleResult::kConsumed
-                             : runtime::HandleResult::kBlocked;
+                  return runtime::BroadcastEof(emit);
                 }
                 runtime::MsgRef resp = emit.NewMsg();
                 resp->kind = runtime::Msg::Kind::kHttp;

@@ -1,6 +1,6 @@
 // Emits the generated C++ for one of the built-in FLICK programs to a file.
-// Used by the ctest codegen compile smoke: the output must compile against
-// the project headers with no further editing.
+// The test build runs it to produce the TUs that codegen_test compiles with
+// -Werror and executes.
 //
 //   codegen_emit <memcached|resp> <out.cc>
 #include <cstdio>

@@ -441,7 +441,7 @@ class DslExecTest : public ::testing::Test {
   }
 
   // Runs the handler for a message arriving on `input_index`.
-  runtime::HandleResult Deliver(runtime::MsgRef msg, size_t input_index) {
+  runtime::HandleResult Deliver(const runtime::MsgRef& msg, size_t input_index) {
     runtime::EmitContext emit(&outputs_, &msgs_);
     return handler_(*msg, input_index, emit);
   }
@@ -704,6 +704,72 @@ TEST_F(DslExecTest, LoweredEofFansOutToAllOutputs) {
     ASSERT_TRUE(m);
     EXPECT_EQ(m->kind, runtime::Msg::Kind::kEof);
   }
+}
+
+// Fills `ch` until it refuses a push.
+void FillChannel(runtime::Channel& ch, runtime::MsgPool& msgs) {
+  for (;;) {
+    runtime::MsgRef filler = msgs.Acquire();
+    filler->kind = runtime::Msg::Kind::kBytes;
+    if (!ch.TryPush(std::move(filler))) {
+      return;
+    }
+  }
+}
+
+// A dropped EOF leaves the graph unable to retire: with one output full the
+// interpreter must block and broadcast to every output on the retry.
+TEST_F(DslExecTest, InterpEofBlocksOnFullOutputThenBroadcasts) {
+  Setup(kProxySource, "Memcached", 2);
+  FillChannel(*backend_outs_[0], msgs_);
+  runtime::MsgRef eof = msgs_.Acquire();
+  eof->kind = runtime::Msg::Kind::kEof;
+  ASSERT_EQ(Deliver(eof, 0), runtime::HandleResult::kBlocked);
+  EXPECT_FALSE(client_out_->TryPop()) << "all-or-nothing: no partial broadcast";
+  EXPECT_FALSE(backend_outs_[1]->TryPop());
+
+  while (backend_outs_[0]->TryPop()) {
+  }
+  ASSERT_EQ(Deliver(eof, 0), runtime::HandleResult::kConsumed);
+  runtime::MsgRef c = client_out_->TryPop();
+  ASSERT_TRUE(c);
+  EXPECT_EQ(c->kind, runtime::Msg::Kind::kEof);
+  for (auto& b : backend_outs_) {
+    runtime::MsgRef m = b->TryPop();
+    ASSERT_TRUE(m);
+    EXPECT_EQ(m->kind, runtime::Msg::Kind::kEof);
+  }
+}
+
+// A fallback that blocks once and then consumes is one message, counted once.
+TEST_F(DslExecTest, FallbackCountedOncePerConsumedMessage) {
+  Setup(kRouterSource, "memcached", 2, /*lowered=*/true, /*with_state=*/false);
+  FillChannel(*client_out_, msgs_);
+  runtime::MsgRef resp = ParseCmd(RouterCmdWire(0x00, "some-key", "v"));
+  ASSERT_EQ(Deliver(resp, /*input=*/1), runtime::HandleResult::kBlocked);
+  while (client_out_->TryPop()) {
+  }
+  ASSERT_EQ(Deliver(resp, /*input=*/1), runtime::HandleResult::kConsumed);
+  EXPECT_TRUE(client_out_->TryPop());
+  EXPECT_EQ(interp_fallbacks_.load(), 1u);
+  EXPECT_EQ(lowered_msgs_.load(), 0u);
+}
+
+// A rule that writes a dict and then finds its output full must block with
+// no effect and do the write once on the retry, as the lowered plan does.
+TEST_F(DslExecTest, InterpBlockedCacheUpdateReplaysWithoutLoss) {
+  Setup(kRouterSource, "memcached", 2);
+  FillChannel(*client_out_, msgs_);
+  runtime::MsgRef resp = ParseCmd(RouterCmdWire(0x0c, "hot-key", "value!"));
+  ASSERT_EQ(Deliver(resp, /*input=*/1), runtime::HandleResult::kBlocked);
+  EXPECT_FALSE(state_.Get("memcached.cache", "hot-key").has_value());
+  while (client_out_->TryPop()) {
+  }
+  ASSERT_EQ(Deliver(resp, /*input=*/1), runtime::HandleResult::kConsumed);
+  runtime::MsgRef out = client_out_->TryPop();
+  ASSERT_TRUE(out) << "the reply must reach the client";
+  EXPECT_EQ(out->kind, runtime::Msg::Kind::kGrammar);
+  EXPECT_TRUE(state_.Get("memcached.cache", "hot-key").has_value());
 }
 
 // ------------------------------------------------------------- diagnostics ----
