@@ -1,5 +1,6 @@
-// Intrusive doubly-linked list (fbl-style). The scheduler's run queues and the
-// graph pool free list use it so that queue operations never allocate.
+// Intrusive doubly-linked list (fbl-style). The scheduler's run queues, the
+// timer wheel's slots and the buffer pool's free list use it so that queue
+// operations never allocate.
 //
 // A type T participates by embedding an `IntrusiveListNode` and passing a
 // member pointer to the list template. An element may be on at most one list

@@ -73,6 +73,42 @@ void IoPoller::UnwatchConnection(Connection* conn) {
   });
 }
 
+void IoPoller::AddSweepPoll(std::function<bool()> check, uint64_t fallback_min_ns,
+                            uint64_t fallback_max_ns) {
+  std::lock_guard<std::mutex> lock(sweep_poll_mutex_);
+  sweep_poll_inbox_.push_back(
+      SweepPoll{std::move(check), fallback_min_ns, fallback_max_ns});
+}
+
+bool IoPoller::RunSweepPolls() {
+  {
+    std::lock_guard<std::mutex> lock(sweep_poll_mutex_);
+    for (SweepPoll& poll : sweep_poll_inbox_) {
+      sweep_polls_.push_back(std::move(poll));
+    }
+    sweep_poll_inbox_.clear();
+  }
+  // Checks run outside the lock: they may re-enter the poller (unwatch).
+  bool finished = false;
+  for (size_t i = 0; i < sweep_polls_.size();) {
+    SweepPoll& poll = sweep_polls_[i];
+    if (poll.check()) {
+      finished = true;
+    } else if (++poll.attempts == kSweepPollAttempts) {
+      wheel_.AddBackoffPoll(poll.fallback_min_ns, poll.fallback_max_ns,
+                            std::move(poll.check));
+    } else {
+      ++i;
+      continue;
+    }
+    if (i + 1 != sweep_polls_.size()) {
+      poll = std::move(sweep_polls_.back());
+    }
+    sweep_polls_.pop_back();
+  }
+  return finished;
+}
+
 void IoPoller::Loop() {
   pthread_setname_np(pthread_self(), "flick-poller");
   // Consecutive idle sweeps; resets to zero the moment a sweep does work.
@@ -124,6 +160,10 @@ void IoPoller::Loop() {
           did_work = true;
         }
       }
+    }
+
+    if (RunSweepPolls()) {
+      did_work = true;
     }
 
     sweeps_.fetch_add(1, std::memory_order_relaxed);

@@ -12,7 +12,9 @@
 //   * connections — a ReadReady()/WriteReady-equivalent transition notifies
 //     the registered task via the scheduler;
 //   * the shard's TimerWheel — Advance fires every deadline the clock
-//     crossed (connection lifetimes, pool redial pacing, graph retirement).
+//     crossed (connection lifetimes, pool redial pacing, graph retirement);
+//   * sweep polls — short-lived convergence checks (graph retirement) run
+//     once per sweep for a few sweeps, then handed to the wheel.
 //
 // Sweep pacing is adaptive: a sweep that did work is followed immediately by
 // the next one; consecutive idle sweeps back off exponentially from
@@ -64,6 +66,19 @@ class IoPoller {
   // and after Stop included) — owners may Cancel in their destructors.
   TimerWheel& wheel() { return wheel_; }
 
+  // Sweeps a sweep poll gets before it moves to the wheel.
+  static constexpr int kSweepPollAttempts = 8;
+
+  // Runs `check` on the poller thread at each of the next
+  // kSweepPollAttempts sweeps until it returns true; the first run is the
+  // sweep after this call, not the next wheel tick. A check still false
+  // after that becomes wheel().AddBackoffPoll(fallback_min_ns,
+  // fallback_max_ns, check). Callable from any thread; `check` must be cheap
+  // and non-blocking. Checks still queued when the poller is destroyed are
+  // dropped unrun.
+  void AddSweepPoll(std::function<bool()> check, uint64_t fallback_min_ns,
+                    uint64_t fallback_max_ns);
+
   // This shard's admission ledger (cap set by the platform; TryAdmit on the
   // accept path, Release when an admitted connection is destroyed).
   ShardAdmission& admission() { return admission_; }
@@ -91,8 +106,16 @@ class IoPoller {
     Listener* listener;
     AcceptFn on_accept;
   };
+  struct SweepPoll {
+    std::function<bool()> check;
+    uint64_t fallback_min_ns;
+    uint64_t fallback_max_ns;
+    int attempts = 0;
+  };
 
   void Loop();
+  // One attempt for every sweep poll; true when at least one finished.
+  bool RunSweepPolls();
 
   Scheduler* scheduler_;
   const uint64_t sweep_interval_ns_;
@@ -108,6 +131,10 @@ class IoPoller {
   mutable std::mutex mutex_;
   std::vector<ListenerEntry> listeners_;
   std::vector<Watch> watches_;
+
+  std::mutex sweep_poll_mutex_;
+  std::vector<SweepPoll> sweep_poll_inbox_;  // AddSweepPoll -> next sweep
+  std::vector<SweepPoll> sweep_polls_;       // poller thread only
 };
 
 }  // namespace flick::runtime

@@ -7,7 +7,7 @@ namespace flick::runtime {
 InputTask::InputTask(std::string name, std::unique_ptr<Connection> conn,
                      std::unique_ptr<Deserializer> codec, Channel* out, MsgPool* msgs,
                      BufferPool* buffers)
-    : Task(std::move(name)),
+    : IoTask(std::move(name)),
       conn_(std::move(conn)),
       codec_(std::move(codec)),
       out_(out),
@@ -17,20 +17,6 @@ InputTask::InputTask(std::string name, std::unique_ptr<Connection> conn,
 }
 
 InputTask::~InputTask() = default;
-
-void InputTask::Rebind(std::unique_ptr<Connection> conn) {
-  deadline_.Cancel();  // the old wire's windows must not outlive it
-  conn_ = std::move(conn);
-  codec_->Reset();
-  rx_.Clear();
-  fill_window_.Reset();  // a fresh wire earns its window back
-  parse_msg_ = MsgRef();
-  pending_ = MsgRef();
-  eof_pending_ = false;
-  eof_sent_ = false;
-  messages_in_.store(0, std::memory_order_relaxed);
-  closed_.store(conn_ == nullptr, std::memory_order_release);
-}
 
 bool InputTask::FlushPending() {
   if (pending_) {
@@ -62,7 +48,7 @@ TaskRunResult InputTask::Run(TaskContext& ctx) {
   // one thread allowed to touch conn_). A fire that raced fresh bytes or a
   // completed parse is stale and dropped; the epilogue re-arms the right
   // window.
-  if (deadline_.enabled() && !closed_.load(std::memory_order_acquire)) {
+  if (deadline_.enabled() && !closed()) {
     const bool stalled = !conn_->ReadReady();
     const ConnDeadline::Expiry expiry = deadline_.ConsumeExpiry(
         /*idle_plausible=*/stalled && rx_.empty() && !parse_msg_ && !pending_,
@@ -72,7 +58,7 @@ TaskRunResult InputTask::Run(TaskContext& ctx) {
       deadline_.Cancel();
       rx_.ReleaseReserve();
       conn_->Close();
-      closed_.store(true, std::memory_order_release);
+      MarkClosed();
       EmitEof();
       return TaskRunResult::kIdle;
     }
@@ -82,7 +68,7 @@ TaskRunResult InputTask::Run(TaskContext& ctx) {
   const TaskRunResult result = RunInner(ctx, fill_bytes);
 
   if (deadline_.enabled()) {
-    if (closed_.load(std::memory_order_acquire)) {
+    if (closed()) {
       deadline_.Cancel();
     } else {
       const uint64_t now = MonotonicNanos();
@@ -111,7 +97,7 @@ TaskRunResult InputTask::RunInner(TaskContext& ctx, size_t& fill_bytes) {
     EmitEof();
     return TaskRunResult::kIdle;  // channel wakes us if still pending
   }
-  if (closed_.load(std::memory_order_acquire)) {
+  if (closed()) {
     return TaskRunResult::kIdle;
   }
 
@@ -140,7 +126,7 @@ TaskRunResult InputTask::RunInner(TaskContext& ctx, size_t& fill_bytes) {
       // Peer closed (or transport error): propagate EOF downstream.
       rx_.ReleaseReserve();
       conn_->Close();
-      closed_.store(true, std::memory_order_release);
+      MarkClosed();
       EmitEof();
       return TaskRunResult::kIdle;
     }
@@ -168,7 +154,11 @@ TaskRunResult InputTask::RunInner(TaskContext& ctx, size_t& fill_bytes) {
           // notification leaves no future edge — if the conn still reads
           // ready (peer closed, or capped-read residue), loop for another
           // fill so the close surfaces now instead of stranding the graph.
-          if (conn_->ReadReady()) {
+          // The same holds when a sink sharing this wire closed it under us
+          // (a write to a departed client failed): ReadReady() is false on
+          // a closed conn and no edge will ever come, so fill once more and
+          // let the read error close this task.
+          if (conn_->ReadReady() || !conn_->IsOpen()) {
             break;
           }
           return TaskRunResult::kIdle;
@@ -196,7 +186,7 @@ InputTask::ParseOutcome InputTask::ParseBuffered(TaskContext& ctx) {
       // Framing is unrecoverable on a byte stream: drop the connection.
       rx_.ReleaseReserve();
       conn_->Close();
-      closed_.store(true, std::memory_order_release);
+      MarkClosed();
       EmitEof();
       return ParseOutcome::kIdle;
     }
@@ -215,7 +205,7 @@ InputTask::ParseOutcome InputTask::ParseBuffered(TaskContext& ctx) {
 
 OutputTask::OutputTask(std::string name, std::unique_ptr<Connection> conn,
                        std::unique_ptr<Serializer> codec, Channel* in, BufferPool* buffers)
-    : Task(std::move(name)),
+    : IoTask(std::move(name)),
       conn_(std::move(conn)),
       codec_(std::move(codec)),
       in_(in),
@@ -225,17 +215,8 @@ OutputTask::OutputTask(std::string name, std::unique_ptr<Connection> conn,
 
 OutputTask::~OutputTask() = default;
 
-void OutputTask::Rebind(std::unique_ptr<Connection> conn) {
-  conn_ = std::move(conn);
-  tx_.Clear();
-  msgs_since_flush_ = 0;
-  eof_received_ = false;
-  messages_out_.store(0, std::memory_order_relaxed);
-  closed_.store(conn_ == nullptr, std::memory_order_release);
-}
-
 TaskRunResult OutputTask::Run(TaskContext& ctx) {
-  if (closed_.load(std::memory_order_acquire)) {
+  if (closed()) {
     // Drain and drop anything still queued so upstream does not stall.
     while (MsgRef msg = in_->TryPop()) {
     }
@@ -253,7 +234,7 @@ TaskRunResult OutputTask::Run(TaskContext& ctx) {
     if (eof_received_) {
       if (close_on_eof_) {
         conn_->Close();
-        closed_.store(true, std::memory_order_release);
+        MarkClosed();
       } else {
         eof_received_ = false;  // shared connection stays up
       }

@@ -5,10 +5,14 @@
 //
 // Both are cooperative: they poll TaskContext::ShouldYield() per message and
 // propagate shutdown with an EOF Msg (input side) / connection close (output
-// side). Connection EOF decrements the owning graph's live-input count.
+// side). Every close goes through one MarkClosed() transition, which counts
+// the task out of its graph's IoCloseLatch: the close that leaves the graph
+// with no open IO task starts the graph's retirement.
 #ifndef FLICK_RUNTIME_IO_TASKS_H_
 #define FLICK_RUNTIME_IO_TASKS_H_
 
+#include <atomic>
+#include <functional>
 #include <memory>
 
 #include "buffer/buffer_chain.h"
@@ -23,7 +27,58 @@
 
 namespace flick::runtime {
 
-class InputTask : public Task {
+// Counts a task graph's open IO tasks (§5: "when a task graph has no more
+// active input channels, it is shut down"). The count starts at one, a hold
+// for whoever installs the retire hook; each IO task adds one. Close() runs
+// the hook exactly once, on the thread that takes the count to zero — the
+// last IO task's close, or Arm() when every IO task closed first.
+class IoCloseLatch {
+ public:
+  void AddIo() { open_.fetch_add(1, std::memory_order_relaxed); }
+
+  // Installs the hook and drops the hold. Call once.
+  void Arm(std::function<void()> on_all_closed) {
+    on_all_closed_ = std::move(on_all_closed);
+    Close();
+  }
+
+  void Close() {
+    if (open_.fetch_sub(1, std::memory_order_acq_rel) == 1 && on_all_closed_) {
+      on_all_closed_();
+    }
+  }
+
+ private:
+  std::atomic<size_t> open_{1};
+  std::function<void()> on_all_closed_;
+};
+
+// What the two IO tasks share: the closed state a graph's retirement reads,
+// entered only through MarkClosed().
+class IoTask : public Task {
+ public:
+  using Task::Task;
+
+  bool closed() const { return closed_.load(std::memory_order_acquire); }
+
+  // Counts this task into `latch` (TaskGraph::AddTask does this).
+  void set_close_latch(IoCloseLatch* latch) { close_latch_ = latch; }
+
+ protected:
+  // The one closed transition: sets closed() and, the first time, counts
+  // this task out of its graph's latch.
+  void MarkClosed() {
+    if (!closed_.exchange(true, std::memory_order_acq_rel) && close_latch_ != nullptr) {
+      close_latch_->Close();
+    }
+  }
+
+ private:
+  std::atomic<bool> closed_{false};
+  IoCloseLatch* close_latch_ = nullptr;
+};
+
+class InputTask : public IoTask {
  public:
   InputTask(std::string name, std::unique_ptr<Connection> conn,
             std::unique_ptr<Deserializer> codec, Channel* out, MsgPool* msgs,
@@ -33,11 +88,7 @@ class InputTask : public Task {
   TaskRunResult Run(TaskContext& ctx) override;
 
   Connection* connection() const { return conn_.get(); }
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
   uint64_t messages_in() const { return messages_in_.load(std::memory_order_relaxed); }
-
-  // Replaces the connection (graph reuse from the pool).
-  void Rebind(std::unique_ptr<Connection> conn);
 
   // Arms the connection-lifetime plane for this leg (client legs only; see
   // runtime/conn_lifetime.h): idle keep-alive timeout while the wire is
@@ -99,7 +150,6 @@ class InputTask : public Task {
   MsgRef pending_;        // parsed but not yet accepted by the channel
   bool eof_pending_ = false;
   bool eof_sent_ = false;
-  std::atomic<bool> closed_{false};
   std::atomic<uint64_t> messages_in_{0};  // read off-thread by tests/stats
   AdaptiveFillWindow fill_window_;
   ReadBatchCounters read_batch_;
@@ -114,7 +164,7 @@ class InputTask : public Task {
 // 0 = never force (slice-end flushes only).
 inline constexpr size_t kDefaultFlushWatermark = 32 * 1024;
 
-class OutputTask : public Task {
+class OutputTask : public IoTask {
  public:
   OutputTask(std::string name, std::unique_ptr<Connection> conn,
              std::unique_ptr<Serializer> codec, Channel* in, BufferPool* buffers);
@@ -123,10 +173,7 @@ class OutputTask : public Task {
   TaskRunResult Run(TaskContext& ctx) override;
 
   Connection* connection() const { return conn_.get(); }
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
   uint64_t messages_out() const { return messages_out_.load(std::memory_order_relaxed); }
-
-  void Rebind(std::unique_ptr<Connection> conn);
 
   // When set, receiving EOF closes the connection after flushing (default).
   // Cleared for shared backend connections that outlive one client.
@@ -158,7 +205,7 @@ class OutputTask : public Task {
   // propagated upstream via closed()).
   TaskRunResult CloseFatal() {
     conn_->Close();
-    closed_.store(true, std::memory_order_release);
+    MarkClosed();
     return TaskRunResult::kIdle;
   }
 
@@ -168,7 +215,6 @@ class OutputTask : public Task {
   BufferChain tx_;
   bool close_on_eof_ = true;
   bool eof_received_ = false;
-  std::atomic<bool> closed_{false};
   std::atomic<uint64_t> messages_out_{0};  // read off-thread by tests/stats
   size_t flush_watermark_ = kDefaultFlushWatermark;
   uint64_t msgs_since_flush_ = 0;

@@ -143,6 +143,18 @@ size_t MsgPool::pool_misses() const {
   return overflow_;
 }
 
+size_t MsgPool::in_use() const {
+  size_t idle = 0;
+  for (const Magazine& mag : magazines_) {
+    std::lock_guard<std::mutex> lock(mag.mutex);
+    idle += mag.count;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  idle += free_.size();
+  // Not one snapshot: exact only while no thread acquires or releases.
+  return idle >= storage_.size() ? 0 : storage_.size() - idle;
+}
+
 size_t MsgPool::slice_spills() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return slice_spills_;

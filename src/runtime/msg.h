@@ -118,6 +118,12 @@ class MsgPool {
   // Acquires this slice delegated to its spill parent (0 for non-slices).
   size_t slice_spills() const;
 
+  // Messages taken from this pool's own storage and not yet returned (heap
+  // fallbacks and acquires served by the spill parent are not counted).
+  // Takes every lock in turn, so it is exact only while no thread acquires
+  // or releases: a quiescence check, not a data-path call.
+  size_t in_use() const;
+
   // Spill parent (null for the global pool). Stats aggregators walk this to
   // reach the global pool's heap-miss counter through a slice.
   MsgPool* spill() const { return spill_; }
@@ -131,7 +137,7 @@ class MsgPool {
   static constexpr size_t kMagazines = 16;
 
   struct alignas(64) Magazine {
-    std::mutex mutex;  // taken by its worker, and by ReclaimOrCount
+    mutable std::mutex mutex;  // taken by its worker, and by ReclaimOrCount
     size_t count = 0;
     Msg* slots[kMagazineSize] = {};
   };

@@ -3,7 +3,10 @@
 // Owns the scheduler, the IO plane, buffer/message pools and global state
 // store; hosts program instances. The application dispatcher maps a listening
 // port to a program (§5 (i)); each program's OnConnection implements the graph
-// dispatcher role (§5 (ii)) — typically via a GraphPool.
+// dispatcher role (§5 (ii)). The paper pre-allocates a pool of task graphs for
+// that role; here OnConnection builds a fresh graph per connection
+// (services::GraphBuilder) and the graph is retired as soon as its last IO
+// task closes (see runtime/task_graph.h for the construct cost).
 //
 // The IO plane is SHARDED (§5's many-small-task-graphs-across-cores scaling):
 // `io_shards` IoPoller threads, each owning a slice of the listeners and all

@@ -1,16 +1,20 @@
-// Task graph container and pre-allocated graph pool (§5 (ii): "The platform
-// maintains a pre-allocated pool of task graphs to avoid the overhead of
-// construction").
+// Task graph container.
 //
-// A TaskGraph owns its tasks and channels. Graphs are built once by a
-// factory, bound to live connections by the program's dispatch logic, and
-// returned to the pool when all their IO tasks have closed.
+// A TaskGraph owns its tasks and channels. The paper's platform keeps a
+// pre-allocated pool of graphs (§5 (ii)); this runtime does not. A graph is
+// built per connection by the program's dispatch logic
+// (services::GraphBuilder) and retired as soon as its last IO task closes:
+// the IoCloseLatch hands it to its shard's poller, which tears it down in
+// stages (services::GraphRegistry). Building one is cheap next to the
+// connection it serves: the pooled http_lb shape (three tasks, four
+// 64-message channels) constructs in ~0.9 µs and destroys in ~0.35 µs in a
+// warm loop (4-vCPU Xeon VM, Release build); per-connection caches are
+// colder than that on the serving path.
 #ifndef FLICK_RUNTIME_TASK_GRAPH_H_
 #define FLICK_RUNTIME_TASK_GRAPH_H_
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "runtime/channel.h"
@@ -45,6 +49,10 @@ class TaskGraph {
     } else if constexpr (std::is_base_of_v<OutputTask, T>) {
       output_tasks_.push_back(raw);
     }
+    if constexpr (std::is_base_of_v<IoTask, T>) {
+      raw->set_close_latch(&io_latch_);
+      io_latch_.AddIo();
+    }
     return raw;
   }
 
@@ -53,23 +61,17 @@ class TaskGraph {
   const std::vector<OutputTask*>& output_tasks() const { return output_tasks_; }
   size_t channel_count() const { return channels_.size(); }
 
-  // True when every IO task has closed its connection — the §5 condition
-  // "when a task graph has no more active input channels, it is shut down".
-  bool AllIoClosed() const {
-    for (const InputTask* t : input_tasks_) {
-      if (!t->closed()) {
-        return false;
-      }
+  // Runs `fn` once every IO task has closed its connection — the §5
+  // condition "when a task graph has no more active input channels, it is
+  // shut down" — on the thread of the IO task whose close was the last, or
+  // right here if every IO task already closed. Call once, after the last
+  // AddTask. A graph without IO tasks never runs it.
+  void OnAllIoClosed(std::function<void()> fn) {
+    if (input_tasks_.empty() && output_tasks_.empty()) {
+      return;
     }
-    for (const OutputTask* t : output_tasks_) {
-      if (!t->closed()) {
-        return false;
-      }
-    }
-    return !input_tasks_.empty() || !output_tasks_.empty();
+    io_latch_.Arm(std::move(fn));
   }
-
-  IntrusiveListNode pool_node;  // free-list linkage inside GraphPool
 
  private:
   static inline std::atomic<uint64_t> next_graph_id_{1};
@@ -80,29 +82,7 @@ class TaskGraph {
   std::vector<std::unique_ptr<Channel>> channels_;
   std::vector<InputTask*> input_tasks_;
   std::vector<OutputTask*> output_tasks_;
-};
-
-// Pool of ready-built graphs for one program. Thread safe.
-class GraphPool {
- public:
-  using Factory = std::function<std::unique_ptr<TaskGraph>()>;
-
-  GraphPool(Factory factory, size_t preallocate);
-
-  // Pops a pooled graph or builds a fresh one.
-  TaskGraph* Acquire();
-
-  // Returns a retired graph to the pool.
-  void Release(TaskGraph* graph);
-
-  size_t available() const;
-  size_t total_built() const;
-
- private:
-  Factory factory_;
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<TaskGraph>> all_;
-  IntrusiveList<TaskGraph, &TaskGraph::pool_node> free_;
+  IoCloseLatch io_latch_;
 };
 
 }  // namespace flick::runtime

@@ -27,7 +27,8 @@ TimerWheel::~TimerWheel() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& level : levels_) {
     for (Slot& slot : level) {
-      while (slot.entries.PopFront() != nullptr) {
+      while (TimerEntry* entry = slot.entries.PopFront()) {
+        entry->armed.store(false, std::memory_order_release);
       }
     }
   }
@@ -54,7 +55,18 @@ void TimerWheel::ArmLocked(TimerEntry* entry, uint64_t deadline_ns) {
     slot_tick = max_slot_tick;
   }
   levels_[level][slot_tick % kSlotsPerLevel].entries.PushBack(entry);
+  entry->armed.store(true, std::memory_order_release);
   armed_count_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void TimerWheel::UnlinkLocked(TimerEntry* entry) {
+  IntrusiveListNode* n = &entry->wheel_node;
+  n->prev->next = n->next;
+  n->next->prev = n->prev;
+  n->prev = nullptr;
+  n->next = nullptr;
+  entry->armed.store(false, std::memory_order_release);
+  armed_count_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void TimerWheel::Arm(TimerEntry* entry, uint64_t deadline_ns) {
@@ -70,13 +82,7 @@ bool TimerWheel::Cancel(TimerEntry* entry) {
   if (!entry->pending()) {
     return false;
   }
-  // The node knows its links but not its slot; unlink directly.
-  IntrusiveListNode* n = &entry->wheel_node;
-  n->prev->next = n->next;
-  n->next->prev = n->prev;
-  n->prev = nullptr;
-  n->next = nullptr;
-  armed_count_.fetch_sub(1, std::memory_order_relaxed);
+  UnlinkLocked(entry);
   cancelled_total_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -85,12 +91,7 @@ void TimerWheel::Rearm(TimerEntry* entry, uint64_t deadline_ns) {
   FLICK_CHECK(entry->on_fire != nullptr);
   std::lock_guard<std::mutex> lock(mutex_);
   if (entry->pending()) {
-    IntrusiveListNode* n = &entry->wheel_node;
-    n->prev->next = n->next;
-    n->next->prev = n->prev;
-    n->prev = nullptr;
-    n->next = nullptr;
-    armed_count_.fetch_sub(1, std::memory_order_relaxed);
+    UnlinkLocked(entry);
   }
   ArmLocked(entry, deadline_ns);
   armed_total_.fetch_add(1, std::memory_order_relaxed);
@@ -102,6 +103,7 @@ void TimerWheel::DrainSlotLocked(size_t level, size_t slot_index,
   // Pop into a local chain first: re-hashing (cascade) pushes into OTHER
   // slots of lower levels, never back into this one mid-drain.
   while (TimerEntry* entry = slot.entries.PopFront()) {
+    entry->armed.store(false, std::memory_order_release);
     armed_count_.fetch_sub(1, std::memory_order_relaxed);
     if (level == 0 || entry->deadline_ns / tick_ns_ <= current_tick_) {
       fire_list.push_back(entry);
@@ -247,12 +249,7 @@ bool TimerWheel::CancelPeriodic(uint64_t token) {
   }
   TimerEntry& entry = it->second->entry;
   if (entry.pending()) {
-    IntrusiveListNode* n = &entry.wheel_node;
-    n->prev->next = n->next;
-    n->next->prev = n->prev;
-    n->prev = nullptr;
-    n->next = nullptr;
-    armed_count_.fetch_sub(1, std::memory_order_relaxed);
+    UnlinkLocked(&entry);
     cancelled_total_.fetch_add(1, std::memory_order_relaxed);
     periodics_.erase(it);
     return true;

@@ -44,11 +44,16 @@ namespace flick::runtime {
 // record); the owner must Cancel (or know the entry fired) before the entry
 // is destroyed. POD-cheap when idle: an unlinked entry costs three pointers.
 struct TimerEntry {
-  IntrusiveListNode wheel_node;           // slot linkage
+  IntrusiveListNode wheel_node;           // slot linkage (wheel lock only)
   uint64_t deadline_ns = 0;               // absolute, monotonic clock
   std::function<void()> on_fire;          // poller thread, outside the lock
+  // Mirrors wheel_node.linked(); the wheel writes it under its lock whenever
+  // it links or unlinks the entry. Owners ask pending() from their own
+  // thread while the poller's Advance may be unlinking the entry, so the
+  // answer must not come from the list pointers.
+  std::atomic<bool> armed{false};
 
-  bool pending() const { return wheel_node.linked(); }
+  bool pending() const { return armed.load(std::memory_order_acquire); }
 };
 
 // Monotonic wheel health counters (relaxed; read off-thread by stats/benches).
@@ -138,6 +143,9 @@ class TimerWheel {
 
   // Hashes `deadline_ns` to its (level, slot) under lock and links the entry.
   void ArmLocked(TimerEntry* entry, uint64_t deadline_ns);
+  // Unlinks a pending entry from its slot (the node knows its neighbours,
+  // not its slot).
+  void UnlinkLocked(TimerEntry* entry);
   // Earliest future tick at which any occupied slot drains (UINT64_MAX when
   // the wheel is empty) — lets Advance skip empty stretches wholesale.
   uint64_t NextEventTickLocked() const;

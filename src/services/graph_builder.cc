@@ -683,9 +683,11 @@ Status GraphBuilder::Launch(GraphRegistry& registry) {
     };
   }
 
-  env_.ActivateIo(bindings);
+  // Adopt first: it installs the retire hook that an IO task's close fires,
+  // so it must be in place before any task can run.
   registry.Adopt(std::move(graph), std::move(watched), env_, std::move(on_unwatch),
                  std::move(detach_ready));
+  env_.ActivateIo(bindings);
   return OkStatus();
 }
 

@@ -13,8 +13,9 @@
 //   * connection ownership: the first node referencing a leg owns the
 //     Connection; every later reference is aliased through SharedConn
 //     (read/write splits on one wire),
-//   * watch-then-notify IO activation via PlatformEnv::ActivateIo,
-//   * staged GraphRegistry adoption, and
+//   * GraphRegistry adoption, which installs the retire-on-close hook
+//     before any task can run,
+//   * watch-then-notify IO activation via PlatformEnv::ActivateIo, and
 //   * failure-path cleanup — if any Connect() failed, or the graph is
 //     malformed, every already-opened leg (client and backends alike) is
 //     closed instead of leaked.

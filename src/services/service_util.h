@@ -251,52 +251,30 @@ class GraphRegistry {
   // dependency is wedged.
   static constexpr uint64_t kDetachReadyTimeoutNs = 30'000'000'000;
 
-  // Retirement runs in two phases on the shard's timer wheel:
-  //  - SCAN: ONE fixed-cadence periodic per (registry, shard) walks that
-  //    shard's live graphs asking "is this graph's IO closed yet?" — a couple
-  //    of atomic loads per graph. Per-graph timers don't scale here: 100k
-  //    mostly-idle graphs each polling even at a lazy 64ms cap meant ~1.6M
-  //    timer fires/s, saturating the poller; one scanner costs ~30 fires/s
-  //    regardless of graph count and keeps close-detection latency flat.
-  //  - CHECK (IO closed): a per-graph backoff poll running the staged
-  //    teardown below at a snappy cadence, registered by the scanner only
-  //    once the graph's IO is closed — so its fires are bounded by graph
-  //    TURNOVER, not graph count.
-  static constexpr uint64_t kRetireScanIntervalNs = 25'000'000;
+  // Retirement starts when the graph's last IO task closes: that close hands
+  // the staged check below to the adopting shard's poller, which runs it on
+  // its next IoPoller::kSweepPollAttempts sweeps. A check that is still not
+  // done by then (in practice a pooled graph whose detach gate waits for the
+  // pool to consume its EOF) falls back to a backoff poll on the shard's
+  // wheel, from kRetireCheckMinNs doubling to kRetireCheckMaxNs. Nothing
+  // walks live graphs: an open graph costs the poller nothing.
   static constexpr uint64_t kRetireCheckMinNs = 1'000'000;
   static constexpr uint64_t kRetireCheckMaxNs = 64'000'000;
 
-  // Cancels the per-shard retirement scanners. The platform must be stopped
-  // (pollers joined) before a registry with adopted graphs is destroyed —
-  // the scanners and staged polls reference `this`.
-  ~GraphRegistry() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const TrackedPoller& tracked : pollers_) {
-      tracked.poller->wheel().CancelPeriodic(tracked.scan_token);
-    }
-    // Graphs that never reached retirement stage 1 (platform stopped first)
-    // still have their connections watched: an edge hook on such a conn
-    // captures a Task* about to be freed with the graph, and a peer that
-    // writes after the free fires the hook into dead memory. Unwatch here —
-    // SetReadReadyHook(nullptr) blocks until any in-flight fire drains — so
-    // no external writer can reach a graph task once destruction begins.
-    for (const PendingRetire& p : pending_retire_) {
-      for (Connection* conn : p.conns) {
-        p.poller->UnwatchConnection(conn);
-      }
-    }
-  }
+  // The platform must be stopped (pollers joined) before a registry with
+  // adopted graphs is destroyed — queued retirement checks reference `this`.
+  ~GraphRegistry();
 
-  // Registers `graph` with the adopting shard's retirement scanner (see the
-  // SCAN/CHECK phases above). `conns` are the connections the
-  // graph's tasks watch (unwatched at retirement). `on_unwatch`, when set,
-  // runs exactly once at retirement stage 1 — GraphBuilder uses it to return
-  // pool leases, severing every producer/consumer the graph shares with
-  // external tasks. `detach_ready`, when set, DELAYS stage 1 until it returns
-  // true — pooled graphs use it (BackendPool::LeaseFinished) so a lease is
-  // not returned while requests the graph committed still sit in its
-  // channels. It must be cheap and non-blocking; it is polled per
-  // retirement check.
+  // Adopts `graph` and installs its retirement hook. `conns` are the
+  // connections the graph's tasks watch (unwatched at retirement). Call
+  // before activating the graph's IO; a graph whose IO already closed still
+  // retires, from this call. `on_unwatch`, when set, runs exactly once at
+  // retirement stage 1 — GraphBuilder uses it to return pool leases,
+  // severing every producer/consumer the graph shares with external tasks.
+  // `detach_ready`, when set, DELAYS stage 1 until it returns true — pooled
+  // graphs use it (BackendPool::LeaseFinished) so a lease is not returned
+  // while requests the graph committed still sit in its channels. It must
+  // be cheap and non-blocking; it is polled per retirement check.
   // The delay is BOUNDED: after kDetachReadyTimeoutNs of refusals stage 1
   // proceeds anyway (counted in detaches_timed_out) — a pathologically
   // wedged dependency may cost a graph its queued output, never an unbounded
@@ -306,74 +284,13 @@ class GraphRegistry {
   // thread, which must never spin-wait): once all IO tasks have closed (and
   // `detach_ready` holds), the graph's connections are unwatched and
   // `on_unwatch` runs — after that no external party (poller or backend pool)
-  // can notify a graph task; on a later sweep, once every task has gone idle
+  // can notify a graph task; on a later check, once every task has gone idle
   // (no pending notifications can exist then — all inputs are closed, drained
   // or detached), the graph is destroyed.
   void Adopt(std::unique_ptr<runtime::TaskGraph> graph,
              std::vector<Connection*> conns, runtime::PlatformEnv& env,
              std::function<void()> on_unwatch = {},
-             std::function<bool()> detach_ready = {}) {
-    runtime::TaskGraph* raw = graph.get();
-    graphs_adopted_.fetch_add(1, std::memory_order_relaxed);
-    tasks_adopted_.fetch_add(raw->tasks().size(), std::memory_order_relaxed);
-    channels_adopted_.fetch_add(raw->channel_count(), std::memory_order_relaxed);
-    runtime::IoPoller* poller = env.poller;
-    // Phase CHECK: staged teardown, registered only once the scan phase saw
-    // the graph's IO closed.
-    auto staged_retire =
-        [this, raw, poller, conns,
-         on_unwatch = std::move(on_unwatch), detach_ready = std::move(detach_ready),
-         unwatched = false, detach_deadline_ns = uint64_t{0}]() mutable -> bool {
-          if (!raw->AllIoClosed()) {
-            return false;
-          }
-          if (!unwatched) {
-            if (detach_ready != nullptr && !detach_ready()) {
-              const uint64_t now = MonotonicNanos();
-              if (detach_deadline_ns == 0) {
-                detach_deadline_ns = now + kDetachReadyTimeoutNs;
-              }
-              if (now < detach_deadline_ns) {
-                return false;  // stream still draining into the pool
-              }
-              detaches_timed_out_.fetch_add(1, std::memory_order_relaxed);
-            }
-            detach_ready = nullptr;
-            for (Connection* conn : conns) {
-              poller->UnwatchConnection(conn);
-            }
-            if (on_unwatch != nullptr) {
-              on_unwatch();
-              on_unwatch = nullptr;
-              detaches_run_.fetch_add(1, std::memory_order_relaxed);
-            }
-            unwatched = true;
-            graphs_unwatched_.fetch_add(1, std::memory_order_relaxed);
-            return false;  // give in-flight notifications a check to settle
-          }
-          for (const auto& task : raw->tasks()) {
-            if (task->sched_state.load(std::memory_order_acquire) !=
-                runtime::Task::SchedState::kIdle) {
-              return false;  // still draining; try next sweep
-            }
-          }
-          {
-            // Fold + erase under one lock: a concurrent stats() must never
-            // see the counters both folded in AND still live in graphs_.
-            std::lock_guard<std::mutex> lock(mutex_);
-            AccumulateBatchStats(*raw);
-            std::erase_if(graphs_, [raw](const auto& g) { return g.get() == raw; });
-          }
-          graphs_retired_.fetch_add(1, std::memory_order_relaxed);
-          return true;
-        };
-    std::lock_guard<std::mutex> lock(mutex_);
-    graphs_.push_back(std::move(graph));
-    TrackPollerLocked(env.poller);  // registers the shard's scanner on first sight
-    TrackPoolsLocked(env);          // memory-plane pools for stats()
-    pending_retire_.push_back(
-        PendingRetire{raw, poller, std::move(staged_retire), std::move(conns)});
-  }
+             std::function<bool()> detach_ready = {});
 
   size_t live_graphs() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -420,7 +337,7 @@ class GraphRegistry {
     s.dsl_lowered_msgs = dsl_.lowered_msgs.load(std::memory_order_relaxed);
     s.dsl_interp_fallbacks = dsl_.interp_fallbacks.load(std::memory_order_relaxed);
     // Batching counters: accumulators AND live-graph fold-in are read under
-    // the same lock the retirement timer folds+erases under, so a retiring graph is
+    // the same lock the retirement check folds+erases under, so a retiring graph is
     // counted by exactly one of the two paths and the aggregate never
     // transiently dips.
     std::lock_guard<std::mutex> lock(mutex_);
@@ -430,7 +347,8 @@ class GraphRegistry {
     s.readv_calls = readv_calls_.load(std::memory_order_relaxed);
     s.bytes_per_readv = bytes_per_readv_.load(std::memory_order_relaxed);
     s.fills_short = fills_short_.load(std::memory_order_relaxed);
-    for (const auto& graph : graphs_) {
+    for (const auto& live : graphs_) {
+      const runtime::TaskGraph* graph = live->graph.get();
       for (const runtime::OutputTask* out : graph->output_tasks()) {
         s.writev_calls += out->writev_calls();
         s.flushes_forced += out->flushes_forced();
@@ -446,8 +364,7 @@ class GraphRegistry {
         }
       }
     }
-    for (const TrackedPoller& tracked : pollers_) {
-      runtime::IoPoller* poller = tracked.poller;
+    for (runtime::IoPoller* poller : pollers_) {
       s.admissions_shed += poller->admission().shed();
       s.sweeps += poller->sweeps();
       s.sweeps_idle += poller->sweeps_idle();
@@ -468,37 +385,30 @@ class GraphRegistry {
   }
 
  private:
-  // A shard this registry has adopted graphs from, plus its retirement
-  // scanner's cancellation token.
-  struct TrackedPoller {
-    runtime::IoPoller* poller;
-    uint64_t scan_token;
+  // One adopted graph and its retirement state. Stage fields are touched
+  // only by the retirement check (the adopting shard's poller thread) and by
+  // the destructor after the pollers stopped.
+  struct LiveGraph {
+    std::unique_ptr<runtime::TaskGraph> graph;
+    runtime::IoPoller* poller = nullptr;
+    std::vector<Connection*> conns;  // watched until stage 1 unwatches
+    std::function<void()> on_unwatch;
+    std::function<bool()> detach_ready;
+    uint64_t detach_deadline_ns = 0;
+    bool unwatched = false;
+    size_t index = 0;  // position in graphs_ (mutex_)
   };
 
-  // A graph awaiting IO close, owned by its shard's scanner.
-  struct PendingRetire {
-    runtime::TaskGraph* graph;
-    runtime::IoPoller* poller;
-    std::function<bool()> staged;  // the CHECK-phase teardown
-    std::vector<Connection*> conns;  // still watched until stage 1 unwatches
-  };
+  // The staged check for one graph whose IO has closed; true once the graph
+  // is destroyed.
+  bool RetireStep(LiveGraph& live);
 
   // Caller holds mutex_. Registries usually span a handful of shards, so a
-  // linear dedup beats a set. First sight of a shard registers its scanner
-  // periodic (mutex_ -> wheel lock; scanner fires take mutex_ with no wheel
-  // lock held, so the order never inverts).
+  // linear dedup beats a set.
   void TrackPollerLocked(runtime::IoPoller* poller) {
-    for (const TrackedPoller& seen : pollers_) {
-      if (seen.poller == poller) {
-        return;
-      }
+    if (std::find(pollers_.begin(), pollers_.end(), poller) == pollers_.end()) {
+      pollers_.push_back(poller);
     }
-    const uint64_t token = poller->wheel().AddPeriodic(
-        kRetireScanIntervalNs, [this, poller]() -> bool {
-          ScanForRetireOn(poller);
-          return false;  // runs until the registry cancels it
-        });
-    pollers_.push_back(TrackedPoller{poller, token});
   }
 
   // Caller holds mutex_. Dedups the memory-plane pools an adopting env draws
@@ -520,30 +430,6 @@ class GraphRegistry {
     }
   }
 
-  // SCAN phase, on `poller`'s thread: hand every pending graph whose IO has
-  // closed to a CHECK-phase backoff poll. The wheel re-entry happens outside
-  // mutex_ (and outside the wheel lock — periodic callbacks fire unlocked).
-  void ScanForRetireOn(runtime::IoPoller* poller) {
-    std::vector<std::function<bool()>> ready;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (size_t i = 0; i < pending_retire_.size();) {
-        PendingRetire& p = pending_retire_[i];
-        if (p.poller == poller && p.graph->AllIoClosed()) {
-          ready.push_back(std::move(p.staged));
-          p = std::move(pending_retire_.back());
-          pending_retire_.pop_back();
-        } else {
-          ++i;
-        }
-      }
-    }
-    for (auto& staged : ready) {
-      poller->wheel().AddBackoffPoll(kRetireCheckMinNs, kRetireCheckMaxNs,
-                                     std::move(staged));
-    }
-  }
-
   // Caller holds mutex_ (folded and erased in one critical section so a
   // concurrent stats() never counts a retiring graph twice).
   void AccumulateBatchStats(const runtime::TaskGraph& graph) {
@@ -560,11 +446,10 @@ class GraphRegistry {
   }
 
   mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<runtime::TaskGraph>> graphs_;
-  std::vector<TrackedPoller> pollers_;  // shards graphs were adopted from
+  std::vector<std::unique_ptr<LiveGraph>> graphs_;
+  std::vector<runtime::IoPoller*> pollers_;  // shards graphs were adopted from
   std::vector<runtime::MsgPool*> msg_pools_;  // slices + spill parents, deduped
   std::vector<BufferPool*> buffer_pools_;
-  std::vector<PendingRetire> pending_retire_;  // live graphs awaiting IO close
   runtime::ConnLifetimeCounters lifetime_;
   CacheCounters cache_;
   DslCounters dsl_;

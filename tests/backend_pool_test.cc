@@ -21,6 +21,7 @@
 #include "services/backend_pool.h"
 #include "services/graph_builder.h"
 #include "services/hadoop_agg.h"
+#include "services/http_lb.h"
 #include "services/memcached_proxy.h"
 #include "platform_stop_guard.h"
 
@@ -1162,6 +1163,99 @@ TEST_F(BackendPoolTest, MalformedHttpResponseSurfacesInsteadOfStalling) {
   services::PoolLease l = std::move(lease).value();
   pool.Release(l);
   platform.Stop();
+}
+
+// Quiescence under connection churn: 2,000 non-persistent clients through
+// the pooled HTTP LB. A third close right after sending the request (before
+// the reply), a third read the reply and then close, a third close halfway
+// through the request line. Afterwards nothing per-connection may be left:
+// no graph, no pool lease, no message or buffer out of its pool.
+TEST_F(BackendPoolTest, HttpLbChurnLeavesNoGraphLeaseOrPoolEntryBehind) {
+  constexpr int kConns = 2000;
+  constexpr int kClients = 4;
+  const std::string body = "churn-ok";
+  load::HttpBackend backend_a(&transport_, 8100, body);
+  load::HttpBackend backend_b(&transport_, 8101, body);
+  ASSERT_TRUE(backend_a.Start().ok());
+  ASSERT_TRUE(backend_b.Start().ok());
+
+  auto& platform = MakePlatform();
+  auto lb = std::make_unique<services::HttpLbService>(std::vector<uint16_t>{8100, 8101});
+  ASSERT_TRUE(platform.RegisterProgram(80, lb.get()).ok());
+  platform.Start();
+  {
+    ScopedPlatformStop stop_guard(platform);
+    const std::string request = "GET /churn HTTP/1.1\r\nHost: lb\r\n\r\n";
+    std::atomic<int> answered{0};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (int i = c; i < kConns; i += kClients) {
+          auto conn = transport_.Connect(80);
+          if (!conn.ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          Connection& wire = **conn;
+          const size_t send = i % 3 == 2 ? request.size() / 2 : request.size();
+          if (!wire.Write(request.data(), send).ok()) {
+            failures.fetch_add(1);
+          } else if (i % 3 == 1) {
+            std::string reply;
+            const bool done = WaitFor([&] {
+              char buf[512];
+              auto got = wire.Read(buf, sizeof(buf));
+              if (got.ok() && *got > 0) {
+                reply.append(buf, *got);
+              }
+              return reply.size() >= body.size() &&
+                     reply.compare(reply.size() - body.size(), body.size(), body) == 0;
+            });
+            (done ? answered : failures).fetch_add(1);
+          }
+          wire.Close();
+        }
+      });
+    }
+    for (std::thread& t : clients) {
+      t.join();
+    }
+    EXPECT_EQ(failures.load(), 0);
+    int readers = 0;
+    for (int i = 0; i < kConns; ++i) {
+      readers += i % 3 == 1 ? 1 : 0;
+    }
+    EXPECT_EQ(answered.load(), readers);
+
+    ASSERT_TRUE(WaitFor(
+        [&] {
+          return lb->registry().stats().graphs_retired == kConns &&
+                 lb->live_graphs() == 0;
+        },
+        20000ms))
+        << lb->live_graphs() << " graphs never retired";
+    const services::RegistryStats stats = lb->registry().stats();
+    EXPECT_EQ(stats.graphs_adopted, static_cast<uint64_t>(kConns));
+    EXPECT_EQ(stats.graphs_retired, static_cast<uint64_t>(kConns));
+    EXPECT_EQ(stats.launch_failures, 0u);
+    const services::BackendPoolStats pool = lb->pool()->stats();
+    EXPECT_EQ(pool.leases_acquired, static_cast<uint64_t>(kConns));
+    EXPECT_EQ(pool.leases_released, pool.leases_acquired);
+    // Replies to clients that left early are dropped on arrival; once they
+    // have all landed, every message is back in the pool while it runs.
+    EXPECT_TRUE(WaitFor([&] { return platform.msgs().in_use() == 0; }))
+        << platform.msgs().in_use() << " msgs still out";
+    platform.Stop();
+  }
+  // The pool's wires keep a cached fill reserve while they live; with the
+  // pool gone every buffer must be back too.
+  lb.reset();
+  EXPECT_EQ(platform.msgs().in_use(), 0u);
+  EXPECT_EQ(platform.buffers().stats().in_use, 0u);
+  EXPECT_EQ(platform.msg_pool_misses(), 0u);
+  backend_a.Stop();
+  backend_b.Stop();
 }
 
 }  // namespace

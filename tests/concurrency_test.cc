@@ -58,6 +58,56 @@ TEST(SpscRingTest, MoveOnlyPayload) {
   EXPECT_EQ(**v, 5);
 }
 
+// Counts live instances, so a test can see which slots a ring constructs.
+struct LiveCounted {
+  static inline int live = 0;
+  int value = 0;
+  explicit LiveCounted(int v) : value(v) { ++live; }
+  LiveCounted(LiveCounted&& other) noexcept : value(other.value) { ++live; }
+  LiveCounted& operator=(LiveCounted&&) = default;
+  ~LiveCounted() { --live; }
+};
+
+TEST(SpscRingTest, HoldsOnlyLiveElements) {
+  LiveCounted::live = 0;
+  {
+    SpscRing<LiveCounted> ring(64);
+    EXPECT_EQ(LiveCounted::live, 0) << "construction must not build any slot";
+    // Walk the indices past the wrap point, leaving 5 queued that straddle it.
+    for (int i = 0; i < 125; ++i) {
+      ASSERT_TRUE(ring.TryPush(LiveCounted(i)));
+      ASSERT_TRUE(ring.TryPop().has_value());
+    }
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(ring.TryPush(LiveCounted(i)));
+    }
+    EXPECT_EQ(LiveCounted::live, 5);
+    {
+      auto v = ring.TryPop();
+      ASSERT_TRUE(v.has_value());
+      EXPECT_EQ(v->value, 0);
+      EXPECT_EQ(LiveCounted::live, 5) << "a pop destroys its slot";
+    }
+    EXPECT_EQ(LiveCounted::live, 4);
+  }
+  EXPECT_EQ(LiveCounted::live, 0) << "destruction destroys exactly the queued";
+}
+
+// Usable slots are 2^k - 1: the next power of two above the requested
+// capacity, less the slot that tells full from empty.
+TEST(SpscRingTest, UsableCapacityIsPowerOfTwoMinusOne) {
+  for (const auto& [requested, usable] :
+       std::vector<std::pair<size_t, size_t>>{{1, 1}, {4, 7}, {7, 7}, {8, 15}, {64, 127}}) {
+    SpscRing<int> ring(requested);
+    EXPECT_EQ(ring.capacity(), usable) << "requested " << requested;
+    size_t pushed = 0;
+    while (ring.TryPush(static_cast<int>(pushed))) {
+      ++pushed;
+    }
+    EXPECT_EQ(pushed, usable) << "requested " << requested;
+  }
+}
+
 TEST(SpscRingTest, TwoThreadStressPreservesSequence) {
   SpscRing<uint64_t> ring(256);
   constexpr uint64_t kCount = 200000;

@@ -4,6 +4,7 @@
 // destruction) for both hand-wired and builder-constructed graphs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -209,6 +210,37 @@ TEST_F(GraphBuilderTest, BuilderGraphRetiresThroughStagedSweeps) {
   EXPECT_EQ(stats.tasks_adopted, 3u);
   EXPECT_EQ(stats.channels_adopted, 2u);
   EXPECT_EQ(service.registry.live_graphs(), 0u);
+  platform.Stop();
+}
+
+// Retirement starts from the close itself: the last IO task's close hands
+// the graph to the poller, which retires it within a few sweeps — not after
+// a periodic scan of live graphs finds it (25 ms ≈ 100+ idle sweeps). The
+// sweep count includes the workers' time to see the close, so a starved
+// host can stretch one round; the best round must still show the bound.
+TEST_F(GraphBuilderTest, ClosedGraphRetiresWithinAFewSweeps) {
+  auto& platform = MakePlatform();
+  BuilderEchoService service;
+  ASSERT_TRUE(platform.RegisterProgram(7000, &service).ok());
+  platform.Start();
+  ScopedPlatformStop stop_guard(platform);
+
+  uint64_t best = UINT64_MAX;
+  for (uint64_t round = 1; round <= 5; ++round) {
+    auto conn = transport_.Connect(7000);
+    ASSERT_TRUE(conn.ok());
+    const std::string payload = "close-me";
+    ASSERT_TRUE((*conn)->Write(payload.data(), payload.size()).ok());
+    std::string echoed;
+    ASSERT_TRUE(WaitFor([&] { return ReadInto(**conn, &echoed, payload.size()); }));
+
+    const uint64_t sweeps_at_close = platform.poller().sweeps();
+    (*conn)->Close();  // the input task reads EOF; the sink closes on it
+    ASSERT_TRUE(WaitFor([&] { return service.registry.stats().graphs_retired == round; }));
+    best = std::min(best, platform.poller().sweeps() - sweeps_at_close);
+    EXPECT_EQ(service.registry.live_graphs(), 0u);
+  }
+  EXPECT_LE(best, 8u);
   platform.Stop();
 }
 

@@ -201,6 +201,44 @@ TEST(MsgPoolTest, CrossWorkerAcquireReleaseNeverMisses) {
   pool.reset();  // ~MsgPool checks that every message came back
 }
 
+// A channel torn down with messages still queued (a graph retired mid-
+// stream) hands each one back to its pool, wherever the ring's indices sit.
+TEST(MsgPoolTest, RingDestroyedWithQueuedMsgsReturnsExactlyThose) {
+  MsgPool pool(256);
+  for (const size_t offset : {size_t{0}, size_t{100}, size_t{126}}) {
+    for (const size_t queued : {size_t{0}, size_t{1}, size_t{50}, size_t{127}}) {
+      {
+        SpscRing<MsgRef> ring(64);
+        for (size_t i = 0; i < offset; ++i) {  // advance head/tail
+          ASSERT_TRUE(ring.TryPush(pool.Acquire()));
+          ASSERT_TRUE(ring.TryPop().has_value());
+        }
+        for (size_t i = 0; i < queued; ++i) {
+          ASSERT_TRUE(ring.TryPush(pool.Acquire()));
+        }
+        EXPECT_EQ(pool.in_use(), queued) << "offset " << offset;
+      }
+      EXPECT_EQ(pool.in_use(), 0u) << "offset " << offset << " queued " << queued;
+    }
+  }
+  EXPECT_EQ(pool.pool_misses(), 0u);
+}
+
+TEST(ChannelTest, CapacityOf64Holds127) {
+  MsgPool pool(256);
+  Channel ch(64);
+  EXPECT_EQ(ch.capacity(), 127u);
+  size_t pushed = 0;
+  while (!ch.Full()) {
+    ASSERT_TRUE(ch.TryPush(pool.Acquire()));
+    ++pushed;
+  }
+  EXPECT_EQ(pushed, 127u);
+  MsgRef extra = pool.Acquire();
+  EXPECT_FALSE(ch.TryPush(std::move(extra)));
+  EXPECT_TRUE(static_cast<bool>(extra)) << "a rejected push leaves the message with the caller";
+}
+
 TEST(MsgPoolTest, PartialHttpParseComesBackClean) {
   BufferPool buffers(4, 1024);
   MsgPool pool(1);
@@ -800,32 +838,6 @@ TEST(MergeTaskTest, MergesOrderedStreamsCombiningEqualKeys) {
   sched.Stop();
 }
 
-// --------------------------------------------------------------- GraphPool ----
-
-TEST(GraphPoolTest, PreallocatesAndReuses) {
-  int built = 0;
-  GraphPool pool(
-      [&] {
-        built++;
-        return std::make_unique<TaskGraph>("g");
-      },
-      /*preallocate=*/2);
-  EXPECT_EQ(built, 2);
-  EXPECT_EQ(pool.available(), 2u);
-
-  TaskGraph* a = pool.Acquire();
-  TaskGraph* b = pool.Acquire();
-  EXPECT_EQ(pool.available(), 0u);
-  TaskGraph* c = pool.Acquire();  // forces a build
-  EXPECT_EQ(built, 3);
-  pool.Release(a);
-  pool.Release(b);
-  pool.Release(c);
-  EXPECT_EQ(pool.available(), 3u);
-  EXPECT_EQ(pool.Acquire(), a) << "pool must hand back pooled graphs FIFO";
-  pool.Release(a);
-}
-
 // -------------------------------------------------------------- StateStore ----
 
 TEST(StateStoreTest, PutGetErase) {
@@ -1061,6 +1073,51 @@ TEST_F(WireFillTest, InputTaskVectoredFillAmortisesReads) {
   ctx.BeginSlice();
   EXPECT_EQ(task.Run(ctx), TaskRunResult::kIdle);
   EXPECT_TRUE(task.closed());
+  MsgRef eof = out.TryPop();
+  ASSERT_TRUE(eof);
+  EXPECT_EQ(eof->kind, Msg::Kind::kEof);
+}
+
+// Raw chunks, but parsing one also closes the wire — standing in for a sink
+// that shares the connection and closed it (a write to a departed client
+// failed) while this input task was mid-run.
+class ClosingRawDeserializer : public RawDeserializer {
+ public:
+  explicit ClosingRawDeserializer(Connection** wire) : wire_(wire) {}
+  ParseStatus Deserialize(BufferChain& in, Msg* out) override {
+    const ParseStatus s = RawDeserializer::Deserialize(in, out);
+    if (s == ParseStatus::kDone) {
+      (*wire_)->Close();
+    }
+    return s;
+  }
+
+ private:
+  Connection** wire_;
+};
+
+TEST_F(WireFillTest, WireClosedUnderInputTaskStillClosesIt) {
+  auto listener = transport_.Listen(7103);
+  auto client = transport_.Connect(7103);
+  auto server = (*listener)->Accept();
+  ASSERT_NE(server, nullptr);
+  Connection* wire = server.get();
+  BufferPool buffers(8, 1024);
+  MsgPool msgs(8);
+  Channel out(16);
+  InputTask task("in", std::move(server), std::make_unique<ClosingRawDeserializer>(&wire),
+                 &out, &msgs, &buffers);
+  TaskContext ctx(SchedulingPolicy::kNonCooperative, 1'000'000'000, 0);
+
+  // The client stays open: no further edge will ever wake this task, so
+  // the run that saw its own wire close must close the task.
+  Pump(**client, "request");
+  ctx.BeginSlice();
+  EXPECT_EQ(task.Run(ctx), TaskRunResult::kIdle);
+  EXPECT_TRUE(task.closed());
+  MsgRef msg = out.TryPop();
+  ASSERT_TRUE(msg);
+  EXPECT_EQ(msg->bytes, "request");
   MsgRef eof = out.TryPop();
   ASSERT_TRUE(eof);
   EXPECT_EQ(eof->kind, Msg::Kind::kEof);
