@@ -73,6 +73,10 @@ Asserted invariants (smoke fails on violation):
      took the native path, none leaked back to the evaluator), the
      Interp point reports dsl_lowered_msgs == 0 (the ablation arms are
      actually distinct), and no arm records a launch failure.
+ 11. foldt plane: at least one BM_Fig6_Hadoop point is present, and on
+     every one the reducer received pairs (pairs_out > 0) and fewer of
+     them than the mappers sent (pairs_out < pairs_in) — the merge tree
+     ran and combined.
 """
 
 import json
@@ -439,6 +443,32 @@ def main(argv):
     assert dsl_arms, \
         "BM_DslAblation points missing — the interp-vs-compiled plane is unchecked"
 
+    # 11. foldt plane: the Hadoop merge tree ran and combined on every fig6
+    # point.
+    fig6_points = 0
+    for b in merged["benchmarks"]:
+        if not b["name"].startswith("BM_Fig6_Hadoop"):
+            continue
+        c = counters_of(b)
+        pairs_in, pairs_out = c.get("pairs_in"), c.get("pairs_out")
+        assert pairs_in is not None and pairs_out is not None, \
+            f"{b['name']}: pairs_in/pairs_out counters missing"
+        assert pairs_out > 0, (
+            f"{b['name']}: the reducer received no pairs — the merge tree "
+            f"delivered nothing")
+        assert pairs_out < pairs_in, (
+            f"{b['name']}: {pairs_out:,.0f} pairs out for {pairs_in:,.0f} in "
+            f"— the foldt tree is not combining")
+        fig6_points += 1
+        batching[b["name"]] = {
+            "pairs_in": pairs_in,
+            "pairs_out": pairs_out,
+            "reduction": c.get("reduction"),
+            "ingest_mbps": c.get("ingest_mbps"),
+        }
+    assert fig6_points, \
+        "BM_Fig6_Hadoop points missing — the foldt plane is unchecked"
+
     for b in merged["benchmarks"]:
         if b["name"].startswith(("BM_WriteCoalescedWritev",
                                  "BM_WriteMessagePerSyscall")):
@@ -465,7 +495,8 @@ def main(argv):
           f"{len(idle_points)} idle-conn points checked; "
           f"{len(tail_points)} open-loop tail points checked; "
           f"{health_checked} points health-checked; "
-          f"{len(dsl_arms)} DSL ablation arms checked")
+          f"{len(dsl_arms)} DSL ablation arms checked; "
+          f"{fig6_points} fig6 foldt points checked")
     return 0
 
 

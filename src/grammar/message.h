@@ -9,6 +9,7 @@
 #define FLICK_GRAMMAR_MESSAGE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,11 +64,31 @@ class Message {
     return spans_[static_cast<size_t>(index)].wire_size;
   }
 
+  // Overwrites the field's arena slot in place when the new bytes fit, and
+  // truncates the arena first when the slot is its tail, so a field
+  // overwritten N times costs O(its size) arena bytes, not N copies (a
+  // foldt combine rewrites the held record's value once per folded record).
   void SetBytes(int index, std::string_view data) {
     FLICK_DCHECK(InRange(index));
     Span& s = spans_[static_cast<size_t>(index)];
-    s.offset = arena_.size();
-    arena_.append(data.data(), data.size());
+    if (data.size() <= s.capacity) {
+      if (!data.empty()) {
+        std::memmove(arena_.data() + s.offset, data.data(), data.size());
+      }
+    } else {
+      // Bytes read from this arena keep the append path: truncating could
+      // cut under them.
+      const bool tail = s.offset + s.capacity == arena_.size();
+      const bool aliases = data.data() >= arena_.data() &&
+                           data.data() < arena_.data() + arena_.size();
+      if (tail && !aliases) {
+        arena_.resize(s.offset);
+      } else {
+        s.offset = arena_.size();
+      }
+      arena_.append(data.data(), data.size());
+      s.capacity = data.size();
+    }
     s.materialized_size = data.size();
     s.wire_size = data.size();
   }
@@ -79,6 +100,7 @@ class Message {
   void BeginBytesField(int index) {
     Span& s = spans_[static_cast<size_t>(index)];
     s.offset = arena_.size();
+    s.capacity = 0;
     s.materialized_size = 0;
     s.wire_size = 0;
   }
@@ -86,6 +108,7 @@ class Message {
     Span& s = spans_[static_cast<size_t>(index)];
     if (materialize) {
       arena_.append(reinterpret_cast<const char*>(data), n);
+      s.capacity += n;
       s.materialized_size += n;
     }
     s.wire_size += n;
@@ -99,9 +122,13 @@ class Message {
   // against this).
   const std::vector<uint64_t>& nums() const { return nums_; }
 
+  // Bytes the arena holds across all byte fields.
+  size_t arena_bytes() const { return arena_.size(); }
+
  private:
   struct Span {
     size_t offset = 0;
+    size_t capacity = 0;  // arena bytes the slot at `offset` owns
     size_t materialized_size = 0;
     size_t wire_size = 0;
   };

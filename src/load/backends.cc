@@ -547,6 +547,8 @@ void ReducerSink::Serve() {
         state.rx.Append(buf, *got);
         while (parsers[i]->Feed(state.rx, parse_msgs[i].get()) ==
                grammar::ParseStatus::kDone) {
+          counts_.fetch_add(proto::ParseCount(proto::HadoopKv(parse_msgs[i].get()).value()),
+                            std::memory_order_relaxed);
           pairs_.fetch_add(1, std::memory_order_relaxed);
         }
       }

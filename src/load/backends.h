@@ -121,6 +121,9 @@ class ReducerSink {
   void Stop();
   uint64_t bytes_received() const { return bytes_.load(); }
   uint64_t pairs_received() const { return pairs_.load(); }
+  // Sum of the decoded (decimal) counts of every pair received: a combiner
+  // may merge pairs, but this must equal the counts the mappers sent.
+  uint64_t counts_received() const { return counts_.load(); }
 
  private:
   void Serve();
@@ -132,6 +135,7 @@ class ReducerSink {
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> bytes_{0};
   std::atomic<uint64_t> pairs_{0};
+  std::atomic<uint64_t> counts_{0};
 };
 
 }  // namespace flick::load

@@ -15,10 +15,24 @@ namespace {
 
 using namespace std::chrono_literals;
 
+// A block of encoded kv pairs and where each pair ends in it; every pair
+// carries the count 1.
+struct Block {
+  std::string bytes;
+  std::vector<size_t> pair_ends;
+
+  // Pairs wholly inside the first `bytes_sent` bytes.
+  uint64_t PairsWithin(size_t bytes_sent) const {
+    return static_cast<uint64_t>(
+        std::upper_bound(pair_ends.begin(), pair_ends.end(), bytes_sent) -
+        pair_ends.begin());
+  }
+};
+
 // Pre-generates a block of encoded kv pairs from a synthetic vocabulary.
 // Hadoop map output is sorted by key, so each block is emitted as a sorted
 // run — that is what gives the combiner tree its reduction opportunities.
-std::string MakeBlock(int word_length, int vocabulary, uint64_t seed, uint64_t* pairs) {
+Block MakeBlock(int word_length, int vocabulary, uint64_t seed) {
   Rng rng(seed);
   // Vocabulary of fixed-length words; wordcount values are "1".
   std::vector<std::string> words(static_cast<size_t>(vocabulary));
@@ -35,33 +49,32 @@ std::string MakeBlock(int word_length, int vocabulary, uint64_t seed, uint64_t* 
     chosen.push_back(words[rng.NextBelow(words.size())]);
   }
   std::sort(chosen.begin(), chosen.end());
-  std::string block;
+  Block block;
+  block.pair_ends.reserve(kPairsPerBlock);
   for (const std::string& w : chosen) {
-    proto::EncodeKv(w, "1", &block);
+    proto::EncodeKv(w, "1", &block.bytes);
+    block.pair_ends.push_back(block.bytes.size());
   }
-  *pairs = kPairsPerBlock;
   return block;
 }
 
+// Counts only pairs that reached the wire whole: a block cut short by the
+// deadline or a write error ends in a partial pair no reducer can decode.
 void RunMapper(Transport* transport, const MapperLoadConfig& config, uint64_t seed,
                uint64_t deadline_ns, uint64_t* bytes_out, uint64_t* pairs_out) {
   auto conn = transport->Connect(config.port);
   if (!conn.ok()) {
     return;
   }
-  uint64_t pairs_per_block = 0;
-  const std::string block = MakeBlock(config.word_length, config.vocabulary, seed,
-                                      &pairs_per_block);
+  const Block block = MakeBlock(config.word_length, config.vocabulary, seed);
   uint64_t sent = 0;
   uint64_t pairs = 0;
   while (sent < config.bytes_per_mapper && MonotonicNanos() < deadline_ns) {
     size_t off = 0;
-    while (off < block.size()) {
-      auto wrote = (*conn)->Write(block.data() + off, block.size() - off);
+    while (off < block.bytes.size()) {
+      auto wrote = (*conn)->Write(block.bytes.data() + off, block.bytes.size() - off);
       if (!wrote.ok()) {
-        *bytes_out = sent;
-        *pairs_out = pairs;
-        return;
+        break;
       }
       if (*wrote == 0) {
         std::this_thread::sleep_for(5us);
@@ -73,7 +86,10 @@ void RunMapper(Transport* transport, const MapperLoadConfig& config, uint64_t se
       off += *wrote;
       sent += *wrote;
     }
-    pairs += pairs_per_block;
+    pairs += block.PairsWithin(off);
+    if (off < block.bytes.size()) {
+      break;  // write error or deadline mid-block
+    }
   }
   (*conn)->Close();
   *bytes_out = sent;
@@ -102,6 +118,7 @@ MapperResult RunMapperLoad(Transport* transport, const MapperLoadConfig& config)
     result.bytes_sent += bytes[static_cast<size_t>(m)];
     result.pairs_sent += pairs[static_cast<size_t>(m)];
   }
+  result.counts_sent = result.pairs_sent;  // every pair carries the count 1
   return result;
 }
 

@@ -23,7 +23,8 @@ struct MapperLoadConfig {
 
 struct MapperResult {
   uint64_t bytes_sent = 0;
-  uint64_t pairs_sent = 0;
+  uint64_t pairs_sent = 0;   // pairs that reached the wire whole
+  uint64_t counts_sent = 0;  // sum of their counts: what the reducer must see
   double seconds = 0;
 
   double ThroughputMbps() const {

@@ -44,15 +44,16 @@ void EncodeKv(std::string_view key, std::string_view value, std::string* out) {
   out->append(value);
 }
 
+uint64_t ParseCount(std::string_view value) {
+  uint64_t n = 0;
+  for (char c : value) {
+    n = n * 10 + static_cast<uint64_t>(c - '0');
+  }
+  return n;
+}
+
 std::string CombineCounts(std::string_view v1, std::string_view v2) {
-  uint64_t a = 0, b = 0;
-  for (char c : v1) {
-    a = a * 10 + static_cast<uint64_t>(c - '0');
-  }
-  for (char c : v2) {
-    b = b * 10 + static_cast<uint64_t>(c - '0');
-  }
-  return std::to_string(a + b);
+  return std::to_string(ParseCount(v1) + ParseCount(v2));
 }
 
 }  // namespace flick::proto

@@ -42,6 +42,9 @@ void BuildKv(grammar::Message* msg, std::string_view key, std::string_view value
 // Appends the wire form of (key, value) to `out`.
 void EncodeKv(std::string_view key, std::string_view value, std::string* out);
 
+// A wordcount value: the decimal count it carries.
+uint64_t ParseCount(std::string_view value);
+
 // Wordcount combine: decimal-add two values (Listing 3's `combine`).
 std::string CombineCounts(std::string_view v1, std::string_view v2);
 

@@ -51,9 +51,14 @@ class Channel {
   // next frees a slot. A producer that found the channel full without
   // pushing (a CanEmit pre-check) calls this before going idle.
   void BlockProducer() {
-    producer_blocked_.store(true, std::memory_order_release);
+    producer_blocked_.store(true, std::memory_order_relaxed);
     // Re-check: the consumer may have drained between the full observation
-    // and the flag store, in which case nobody would wake us.
+    // and the flag store, in which case nobody would wake us. The fence pairs
+    // with the one in TryPop: either this re-check sees the consumer's pop or
+    // the consumer sees the flag. Without both, each side's store may sit in
+    // its store buffer while it loads the other's stale value, and the
+    // wakeup is lost with the producer parked on a channel that has room.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     if (!Full()) {
       producer_blocked_.store(false, std::memory_order_release);
       if (producer_ != nullptr && scheduler_ != nullptr) {
@@ -68,6 +73,7 @@ class Channel {
     if (!msg.has_value()) {
       return MsgRef();
     }
+    std::atomic_thread_fence(std::memory_order_seq_cst);  // see BlockProducer
     WakeBlockedProducer();
     return std::move(*msg);
   }
@@ -81,8 +87,8 @@ class Channel {
 
  private:
   void WakeBlockedProducer() {
-    if (producer_blocked_.load(std::memory_order_acquire)) {
-      producer_blocked_.store(false, std::memory_order_release);
+    if (producer_blocked_.load(std::memory_order_relaxed)) {
+      producer_blocked_.store(false, std::memory_order_relaxed);
       if (producer_ != nullptr && scheduler_ != nullptr) {
         scheduler_->NotifyRunnable(producer_);
       }

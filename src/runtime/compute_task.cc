@@ -54,7 +54,7 @@ TaskRunResult ComputeTask::Park() {
 }
 
 MergeTask::MergeTask(std::string name, OrderFn order, CombineFn combine)
-    : Task(std::move(name)), order_(std::move(order)), combine_(std::move(combine)) {}
+    : Task(std::move(name)), fold_(std::move(order), std::move(combine)) {}
 
 bool MergeTask::Step(bool* made_progress) {
   // Flush a previously blocked emission first.
@@ -84,9 +84,9 @@ bool MergeTask::Step(bool* made_progress) {
   // foldt semantics: elements are combined/ordered across the two streams.
   MsgRef next;
   if (left_pending_ && right_pending_) {
-    const int cmp = order_(*left_pending_, *right_pending_);
+    const int cmp = fold_.order()(*left_pending_, *right_pending_);
     if (cmp == 0) {
-      combine_(*left_pending_, *right_pending_);
+      fold_.combine()(*left_pending_, *right_pending_);
       next = std::move(left_pending_);
       right_pending_ = MsgRef();
     } else if (cmp < 0) {
@@ -99,22 +99,26 @@ bool MergeTask::Step(bool* made_progress) {
   } else if (right_pending_ && left_eof_) {
     next = std::move(right_pending_);
   } else if (left_eof_ && right_eof_) {
-    // Both streams done: flush the held element, then forward one EOF
+    // Both streams done: flush the held run, then forward one EOF
     // downstream (a one-off heap control message; MergeTask has no pool).
-    if (hold_) {
-      if (!out_->TryPush(std::move(hold_))) {
+    if (fold_.holding()) {
+      MsgRef last = fold_.Take();
+      if (!out_->TryPush(std::move(last))) {
+        out_pending_ = std::move(last);
         return false;
       }
       *made_progress = true;
     }
     if (!eof_forwarded_) {
-      if (!out_pending_) {
-        out_pending_ = MsgRef(new Msg(), nullptr);
-        out_pending_->kind = Msg::Kind::kEof;
-      }
-      if (out_->TryPush(std::move(out_pending_))) {
-        eof_forwarded_ = true;
+      // Forwarded once queued: a full output delivers it from out_pending_
+      // at the top of a later step, and no second EOF is made.
+      eof_forwarded_ = true;
+      MsgRef eof(new Msg(), nullptr);
+      eof->kind = Msg::Kind::kEof;
+      if (out_->TryPush(std::move(eof))) {
         *made_progress = true;
+      } else {
+        out_pending_ = std::move(eof);
       }
     }
     return false;
@@ -122,30 +126,19 @@ bool MergeTask::Step(bool* made_progress) {
     return false;  // waiting on an input
   }
 
-  // Run-length combining: hold the most recent output element back; equal-
-  // keyed successors (within or across streams — mapper runs are sorted)
-  // fold into it, and it is only emitted once a greater key appears. This is
-  // what makes the tree a combiner rather than a plain merge.
-  if (!hold_) {
-    hold_ = std::move(next);
-    *made_progress = true;
+  // Run-length combining: the most recent output element is held back and
+  // equal-keyed successors (within or across streams) fold into it; it is
+  // only emitted once a greater key appears. This is what makes the tree a
+  // combiner rather than a plain merge.
+  *made_progress = true;
+  MsgRef ended;
+  if (fold_.Fold(next, &ended) || !ended) {
     return true;
   }
-  if (order_(*hold_, *next) == 0) {
-    combine_(*hold_, *next);
-    *made_progress = true;
-    return true;
-  }
-  if (!out_->TryPush(std::move(hold_))) {
-    // Output full: keep both; retry after the consumer drains. `next` moves
-    // back to its pending slot conceptually — simplest is the out_pending_
-    // buffer for hold_ and re-hold next.
-    out_pending_ = std::move(hold_);
-    hold_ = std::move(next);
+  if (!out_->TryPush(std::move(ended))) {
+    out_pending_ = std::move(ended);  // output full: retry after it drains
     return false;
   }
-  hold_ = std::move(next);
-  *made_progress = true;
   return true;
 }
 

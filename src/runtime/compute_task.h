@@ -7,7 +7,8 @@
 //
 // MergeTask implements `foldt` (§4.3): a binary merge node over two ordered
 // input streams, combining equal-ordered elements with a user function.
-// Compilers build a balanced tree of MergeTasks for k inputs (k-way merge).
+// Compilers build a balanced tree of MergeTasks for k inputs (k-way merge);
+// its output runs fold through the same RunFold the tree's leaf sources use.
 #ifndef FLICK_RUNTIME_COMPUTE_TASK_H_
 #define FLICK_RUNTIME_COMPUTE_TASK_H_
 
@@ -18,6 +19,7 @@
 
 #include "runtime/channel.h"
 #include "runtime/msg.h"
+#include "runtime/run_fold.h"
 #include "runtime/task.h"
 
 namespace flick::runtime {
@@ -123,9 +125,8 @@ class ComputeTask : public Task {
 // (Figure 3c).
 class MergeTask : public Task {
  public:
-  // order(a, b) < 0 | 0 | > 0 ; combine(a, b) -> merged message
-  using OrderFn = std::function<int(const Msg&, const Msg&)>;
-  using CombineFn = std::function<void(Msg& into, const Msg& from)>;
+  using OrderFn = runtime::OrderFn;
+  using CombineFn = runtime::CombineFn;
 
   MergeTask(std::string name, OrderFn order, CombineFn combine);
 
@@ -146,8 +147,7 @@ class MergeTask : public Task {
   // Attempts one merge step; false when blocked on input or output.
   bool Step(bool* made_progress);
 
-  OrderFn order_;
-  CombineFn combine_;
+  RunFold fold_;  // the output's run: equal-keyed successors fold into it
   Channel* left_ = nullptr;
   Channel* right_ = nullptr;
   Channel* out_ = nullptr;
@@ -157,7 +157,6 @@ class MergeTask : public Task {
   bool right_eof_ = false;
   bool eof_forwarded_ = false;
   MsgRef out_pending_;  // emitted but not yet accepted by the channel
-  MsgRef hold_;         // run-length combine buffer (last output element)
 };
 
 }  // namespace flick::runtime

@@ -24,12 +24,29 @@ bool InputTask::FlushPending() {
     if (!out_->TryPush(std::move(pending_))) {
       return false;
     }
+    messages_out_.fetch_add(1, std::memory_order_relaxed);
   }
   return true;
 }
 
+void InputTask::FlushHeld() {
+  if (fold_.holding() && !pending_) {
+    pending_ = fold_.Take();
+    (void)FlushPending();  // a full channel keeps it and wakes us
+  }
+}
+
 void InputTask::EmitEof() {
   if (eof_sent_) {
+    return;
+  }
+  if (!FlushPending()) {
+    eof_pending_ = true;
+    return;
+  }
+  pending_ = fold_.Take();
+  if (!FlushPending()) {
+    eof_pending_ = true;
     return;
   }
   MsgRef eof = msgs_->Acquire();
@@ -51,7 +68,8 @@ TaskRunResult InputTask::Run(TaskContext& ctx) {
   if (deadline_.enabled() && !closed()) {
     const bool stalled = !conn_->ReadReady();
     const ConnDeadline::Expiry expiry = deadline_.ConsumeExpiry(
-        /*idle_plausible=*/stalled && rx_.empty() && !parse_msg_ && !pending_,
+        /*idle_plausible=*/stalled && rx_.empty() && !parse_msg_ && !pending_ &&
+            !fold_.holding(),
         /*progress_plausible=*/stalled && parse_msg_);
     if (expiry != ConnDeadline::Expiry::kNone) {
       deadline_.CountClose(expiry);
@@ -134,11 +152,13 @@ TaskRunResult InputTask::RunInner(TaskContext& ctx, size_t& fill_bytes) {
       // Pool pressure: requeue and retry next slice. Going idle would strand
       // the buffered bytes on edge-notified transports (no new write, no new
       // edge); the requeue loop is bounded by the consumers whose progress
-      // frees the pool.
+      // frees the pool, so the held run goes to them too.
+      FlushHeld();
       return TaskRunResult::kMoreWork;
     }
     if (fill == FillOutcome::kDrained) {
       if (moved == 0) {
+        FlushHeld();
         return TaskRunResult::kIdle;  // would block; poller will wake us
       }
       // Short fill: parse the tail, then go idle WITHOUT a trailing
@@ -161,10 +181,12 @@ TaskRunResult InputTask::RunInner(TaskContext& ctx, size_t& fill_bytes) {
           if (conn_->ReadReady() || !conn_->IsOpen()) {
             break;
           }
+          FlushHeld();
           return TaskRunResult::kIdle;
       }
     }
-    // Full fill: the transport may hold more; parse, then fill again.
+    // Full fill: the transport may hold more; parse, then fill again. A
+    // yield keeps the held run: the task is requeued and folds on.
     if (ctx.ShouldYield()) {
       return TaskRunResult::kMoreWork;
     }
@@ -175,8 +197,12 @@ InputTask::ParseOutcome InputTask::ParseBuffered(TaskContext& ctx) {
   // Parse as many complete messages as the buffer holds.
   while (!rx_.empty()) {
     if (!parse_msg_) {
-      parse_msg_ = msgs_->Acquire();
-      parse_msg_->conn_id = conn_->id();
+      if (spare_) {
+        parse_msg_ = std::move(spare_);
+      } else {
+        parse_msg_ = msgs_->Acquire();
+        parse_msg_->conn_id = conn_->id();
+      }
     }
     const ParseStatus s = codec_->Deserialize(rx_, parse_msg_.get());
     if (s == ParseStatus::kNeedMore) {
@@ -191,7 +217,11 @@ InputTask::ParseOutcome InputTask::ParseBuffered(TaskContext& ctx) {
       return ParseOutcome::kIdle;
     }
     messages_in_.fetch_add(1, std::memory_order_relaxed);
-    pending_ = std::move(parse_msg_);
+    if (!fold_.active()) {
+      pending_ = std::move(parse_msg_);
+    } else if (fold_.Fold(parse_msg_, &pending_)) {
+      spare_ = std::move(parse_msg_);  // folded: its Msg parses the next record
+    }
     if (!FlushPending()) {
       return ParseOutcome::kIdle;  // backpressure: consumer will wake us
     }

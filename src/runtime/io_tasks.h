@@ -1,7 +1,10 @@
 // Input and output tasks (§3.2): the edges of every task graph.
 //
-//   InputTask:  connection -> deserialiser -> output channel (typed values)
+//   InputTask:  connection -> deserialiser [-> run fold] -> output channel
 //   OutputTask: input channel -> serialiser -> connection
+//
+// An InputTask that leads a foldt tree folds equal-keyed runs of its parsed
+// records before they cross its channel (see runtime/run_fold.h).
 //
 // Both are cooperative: they poll TaskContext::ShouldYield() per message and
 // propagate shutdown with an EOF Msg (input side) / connection close (output
@@ -21,6 +24,7 @@
 #include "runtime/codec.h"
 #include "runtime/conn_lifetime.h"
 #include "runtime/msg.h"
+#include "runtime/run_fold.h"
 #include "runtime/task.h"
 #include "runtime/wire_batch.h"
 #include "runtime/wire_fill.h"
@@ -88,7 +92,17 @@ class InputTask : public IoTask {
   TaskRunResult Run(TaskContext& ctx) override;
 
   Connection* connection() const { return conn_.get(); }
+  // Records parsed off the wire, and messages pushed downstream (EOF aside);
+  // fewer pushed than parsed when runs fold.
   uint64_t messages_in() const { return messages_in_.load(std::memory_order_relaxed); }
+  uint64_t messages_out() const { return messages_out_.load(std::memory_order_relaxed); }
+
+  // Folds each run of equal-keyed records into one message before it is
+  // pushed (a foldt leaf; GraphBuilder::MergeTree installs the tree's
+  // order/combine here). The run's last record is held until a different key
+  // arrives, the wire has nothing more to parse, or EOF; a record that
+  // folded leaves its Msg to parse the next one. Set before IO activation.
+  void set_run_fold(RunFold fold) { fold_ = std::move(fold); }
 
   // Arms the connection-lifetime plane for this leg (client legs only; see
   // runtime/conn_lifetime.h): idle keep-alive timeout while the wire is
@@ -129,6 +143,11 @@ class InputTask : public IoTask {
  private:
   // Pushes `pending_` downstream; false if the channel is full.
   bool FlushPending();
+  // The wire paused: pushes the held run (kept, as `pending_`, only by a
+  // full channel) so it never waits on bytes that may not come.
+  void FlushHeld();
+  // Pushes what is still owed downstream (`pending_`, then the held run),
+  // then EOF; sets eof_pending_ while the channel refuses any of them.
   void EmitEof();
 
   // The ingest loop proper; `fill_bytes` accumulates bytes moved off the
@@ -148,9 +167,13 @@ class InputTask : public IoTask {
   BufferChain rx_;
   MsgRef parse_msg_;      // in-progress parse target (survives kNeedMore)
   MsgRef pending_;        // parsed but not yet accepted by the channel
+  RunFold fold_;          // inactive unless this task leads a foldt tree
+  MsgRef spare_;          // a folded record's Msg: the next parse target
   bool eof_pending_ = false;
   bool eof_sent_ = false;
-  std::atomic<uint64_t> messages_in_{0};  // read off-thread by tests/stats
+  // Read off-thread by tests/stats; written only by Run.
+  std::atomic<uint64_t> messages_in_{0};
+  std::atomic<uint64_t> messages_out_{0};
   AdaptiveFillWindow fill_window_;
   ReadBatchCounters read_batch_;
   // Last member: destroyed first, so its Cancel runs while conn_ is alive.

@@ -193,8 +193,8 @@ NodeRef GraphBuilder::Sink(std::string name, ConnRef conn,
   return ref;
 }
 
-NodeRef GraphBuilder::Merge(std::string name, runtime::MergeTask::OrderFn order,
-                            runtime::MergeTask::CombineFn combine, size_t capacity) {
+NodeRef GraphBuilder::Merge(std::string name, runtime::OrderFn order,
+                            runtime::CombineFn combine, size_t capacity) {
   if (!status_.ok()) {
     return NodeRef();
   }
@@ -371,8 +371,8 @@ std::vector<GraphBuilder::Leg> GraphBuilder::FanOut(
 }
 
 NodeRef GraphBuilder::MergeTree(const std::string& base, std::vector<NodeRef> streams,
-                                runtime::MergeTask::OrderFn order,
-                                runtime::MergeTask::CombineFn combine,
+                                runtime::OrderFn order,
+                                runtime::CombineFn combine,
                                 size_t capacity) {
   if (!status_.ok()) {
     return NodeRef();
@@ -382,9 +382,18 @@ NodeRef GraphBuilder::MergeTree(const std::string& base, std::vector<NodeRef> st
     return NodeRef();
   }
   for (const NodeRef& s : streams) {
-    if (!s.valid()) {
+    if (!s.valid() || s.builder_ != this) {
       Poison(InvalidArgument("MergeTree '" + base + "': invalid input stream"));
       return NodeRef();
+    }
+  }
+  // Leaf sources fold their own runs, so a sorted stream's run crosses its
+  // first channel as one message. With one stream this is the whole tree.
+  for (const NodeRef& s : streams) {
+    NodeSpec& leaf = nodes_[s.index_];
+    if (leaf.kind == NodeKind::kSource) {
+      leaf.order = order;
+      leaf.combine = combine;
     }
   }
   int merge_id = 0;
@@ -544,6 +553,10 @@ Status GraphBuilder::Launch(GraphRegistry& registry) {
             node.name, TakeConn(node.conn), std::move(node.deserializer),
             channels[node.out_edges[0]], env_.msgs, env_.buffers);
         task->set_fill_window(fill_window_);
+        if (node.order != nullptr) {
+          task->set_run_fold(
+              runtime::RunFold(std::move(node.order), std::move(node.combine)));
+        }
         conns_[node.conn].source_task = task;
         ++stats_.sources;
         break;

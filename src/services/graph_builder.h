@@ -10,6 +10,8 @@
 //   * task construction in declaration order (stage input/output indices
 //     follow edge declaration order),
 //   * consumer/scheduler binding,
+//   * run folds on every Source that MergeTree wired as a foldt leaf (a
+//     sorted stream's equal-key run crosses its channel as one message),
 //   * connection ownership: the first node referencing a leg owns the
 //     Connection; every later reference is aliased through SharedConn
 //     (read/write splits on one wire),
@@ -191,8 +193,8 @@ class GraphBuilder {
 
   // foldt node (§4.3): merges two key-ordered streams. Exactly two inbound
   // edges (left = first declared) and one outbound edge.
-  NodeRef Merge(std::string name, runtime::MergeTask::OrderFn order,
-                runtime::MergeTask::CombineFn combine, size_t capacity = 0);
+  NodeRef Merge(std::string name, runtime::OrderFn order,
+                runtime::CombineFn combine, size_t capacity = 0);
 
   // Duplicates one inbound stream to every outbound edge (message copies).
   NodeRef Tee(std::string name);
@@ -241,10 +243,13 @@ class GraphBuilder {
 
   // Pairwise binary merge tree over `streams` ("combining elements in a
   // pair-wise manner until only the result remains", §4.3). Returns the root
-  // stream; with a single input stream no merge node is created.
+  // stream. Every stream that is a Source folds its equal-keyed runs with
+  // `order`/`combine` before its first channel (runtime::RunFold), so a
+  // sorted stream's run travels as one message; with a single input stream
+  // no merge node is created and that fold is the whole tree.
   NodeRef MergeTree(const std::string& base, std::vector<NodeRef> streams,
-                    runtime::MergeTask::OrderFn order,
-                    runtime::MergeTask::CombineFn combine, size_t capacity = 0);
+                    runtime::OrderFn order,
+                    runtime::CombineFn combine, size_t capacity = 0);
 
   // --- launch ----------------------------------------------------------------
 
@@ -269,8 +274,8 @@ class GraphBuilder {
     std::unique_ptr<runtime::Deserializer> deserializer;
     std::unique_ptr<runtime::Serializer> serializer;
     runtime::ComputeTask::Handler handler;
-    runtime::MergeTask::OrderFn order;
-    runtime::MergeTask::CombineFn combine;
+    runtime::OrderFn order;      // merges; sources leading a MergeTree
+    runtime::CombineFn combine;
     size_t preferred_capacity = 0;  // for edges touching this node
     std::vector<size_t> in_edges;   // edge indices, declaration order
     std::vector<size_t> out_edges;

@@ -7,7 +7,10 @@
 // serialises back to the Hadoop wire format towards the reducer.
 //
 // The combine is a partial aggregation (a Hadoop combiner): counts of
-// adjacent equal keys are merged, totals are always preserved.
+// adjacent equal keys are merged, totals are always preserved. Each mapper's
+// input task already folds its sorted runs (GraphBuilder::MergeTree installs
+// the fold on the leaves), so a run enters the tree as one message, and a
+// batch of one mapper — no MergeTask at all — is combined too.
 //
 // The reducer leg defaults to a pooled EXCLUSIVE lease (BackendPool in
 // non-pipelined streaming mode): the reducer wire persists across

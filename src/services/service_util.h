@@ -168,6 +168,10 @@ struct RegistryStats {
   uint64_t readv_calls = 0;
   uint64_t bytes_per_readv = 0;  // high-water, not a sum
   uint64_t fills_short = 0;
+  // Records the input tasks parsed, and messages they pushed downstream:
+  // fewer pushed than parsed where MergeTree leaves fold runs.
+  uint64_t records_in = 0;
+  uint64_t records_pushed = 0;
 
   // Connection lifetime plane (see runtime/conn_lifetime.h). idle_closed /
   // deadline_closed count this registry's graphs whose client leg was closed
@@ -347,6 +351,8 @@ class GraphRegistry {
     s.readv_calls = readv_calls_.load(std::memory_order_relaxed);
     s.bytes_per_readv = bytes_per_readv_.load(std::memory_order_relaxed);
     s.fills_short = fills_short_.load(std::memory_order_relaxed);
+    s.records_in = records_in_.load(std::memory_order_relaxed);
+    s.records_pushed = records_pushed_.load(std::memory_order_relaxed);
     for (const auto& live : graphs_) {
       const runtime::TaskGraph* graph = live->graph.get();
       for (const runtime::OutputTask* out : graph->output_tasks()) {
@@ -359,6 +365,8 @@ class GraphRegistry {
       for (const runtime::InputTask* in : graph->input_tasks()) {
         s.readv_calls += in->readv_calls();
         s.fills_short += in->fills_short();
+        s.records_in += in->messages_in();
+        s.records_pushed += in->messages_out();
         if (in->bytes_per_readv() > s.bytes_per_readv) {
           s.bytes_per_readv = in->bytes_per_readv();
         }
@@ -441,6 +449,8 @@ class GraphRegistry {
     for (const runtime::InputTask* in : graph.input_tasks()) {
       readv_calls_.fetch_add(in->readv_calls(), std::memory_order_relaxed);
       fills_short_.fetch_add(in->fills_short(), std::memory_order_relaxed);
+      records_in_.fetch_add(in->messages_in(), std::memory_order_relaxed);
+      records_pushed_.fetch_add(in->messages_out(), std::memory_order_relaxed);
       runtime::AtomicStoreMax(bytes_per_readv_, in->bytes_per_readv());
     }
   }
@@ -467,6 +477,8 @@ class GraphRegistry {
   std::atomic<uint64_t> readv_calls_{0};
   std::atomic<uint64_t> bytes_per_readv_{0};
   std::atomic<uint64_t> fills_short_{0};
+  std::atomic<uint64_t> records_in_{0};
+  std::atomic<uint64_t> records_pushed_{0};
 };
 
 }  // namespace flick::services

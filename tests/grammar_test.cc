@@ -324,6 +324,48 @@ TEST_F(ParserTest, SerializeRoundTrip) {
   EXPECT_EQ(parsed.GetUInt("val_len"), 12u);
 }
 
+// A foldt combine rewrites the held record's value once per folded record:
+// an overwritten field must reuse its arena slot, not append a copy per
+// write, and the other fields must survive.
+TEST_F(ParserTest, OverwrittenFieldsKeepTheArenaBounded) {
+  BufferChain input(&pool_);
+  ASSERT_TRUE(input.Append(Encode(3, "middle-key", "tail-value")));
+  UnitParser parser(&unit_);
+  Message msg;
+  ASSERT_EQ(parser.Feed(input, &msg), ParseStatus::kDone);
+  const size_t parsed_arena = msg.arena_bytes();
+
+  // The last field, growing like a running count.
+  for (uint64_t i = 0; i < 100000; ++i) {
+    msg.SetBytes("val", std::to_string(i));
+  }
+  EXPECT_EQ(msg.GetBytes("val"), "99999");
+  EXPECT_EQ(msg.GetBytes("key"), "middle-key");
+  EXPECT_EQ(msg.GetUInt("tag"), 3u);
+  EXPECT_LE(msg.arena_bytes(), parsed_arena);
+
+  // A middle field and the last one, alternately shrinking and outgrowing
+  // their slots: once each slot has reached its largest size, no write may
+  // grow the arena.
+  const auto key_of = [](uint64_t i) { return std::string(1 + i % 17, 'k'); };
+  const auto val_of = [](uint64_t i) { return std::string(1 + (i * 7) % 13, 'v'); };
+  size_t settled = 0;
+  for (uint64_t i = 0; i < 100000; ++i) {
+    msg.SetBytes("key", key_of(i));
+    msg.SetBytes("val", val_of(i));
+    if (i == 1000) {
+      settled = msg.arena_bytes();
+    }
+  }
+  EXPECT_EQ(msg.arena_bytes(), settled);
+  EXPECT_LE(settled, 2 * (parsed_arena + 17 + 13));
+  EXPECT_EQ(msg.GetBytes("key"), key_of(99999));
+  EXPECT_EQ(msg.GetBytes("val"), val_of(99999));
+  EXPECT_EQ(msg.GetUInt("tag"), 3u);
+  EXPECT_EQ(msg.GetUInt("key_len"), 10u);
+  EXPECT_EQ(msg.GetUInt("val_len"), 10u);
+}
+
 TEST_F(ParserTest, SerializeWireSizeMatches) {
   Message msg;
   msg.BindUnit(&unit_);

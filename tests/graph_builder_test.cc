@@ -1,16 +1,26 @@
 // GraphBuilder unit/integration tests: declarative graphs over the sim
-// fabric, launch stats, failure-path leg cleanup, tee duplication, and the
-// staged GraphRegistry retirement sequence (unwatch sweep -> drain sweep ->
-// destruction) for both hand-wired and builder-constructed graphs.
+// fabric, launch stats, failure-path leg cleanup, tee duplication, folded
+// foldt trees against a reference, and the staged GraphRegistry retirement
+// sequence (unwatch sweep -> drain sweep -> destruction) for both
+// hand-wired and builder-constructed graphs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "base/rng.h"
+#include "buffer/buffer_chain.h"
+#include "buffer/buffer_pool.h"
+#include "grammar/parser.h"
 #include "net/sim_transport.h"
+#include "proto/hadoop.h"
 #include "runtime/io_tasks.h"
 #include "runtime/platform.h"
 #include "services/graph_builder.h"
@@ -136,6 +146,104 @@ class ManualEchoService : public runtime::ServiceProgram {
 
   services::GraphRegistry registry;
 };
+
+// A wordcount foldt tree: `streams` mapper connections, each a Source, fold
+// through MergeTree into a dialled reducer leg. Every channel holds one
+// message, so held and pushed-back records keep meeting full channels.
+class FoldTreeService : public runtime::ServiceProgram {
+ public:
+  FoldTreeService(size_t streams, uint16_t reducer_port)
+      : streams_(streams), reducer_port_(reducer_port) {}
+
+  const char* name() const override { return "fold-tree"; }
+
+  void OnConnection(std::unique_ptr<Connection> conn,
+                    runtime::PlatformEnv& env) override {
+    std::vector<std::unique_ptr<Connection>> mappers;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      pending_.push_back(std::move(conn));
+      if (pending_.size() < streams_) {
+        return;
+      }
+      mappers.swap(pending_);
+    }
+    const grammar::Unit* unit = &proto::HadoopKvUnit();
+    services::GraphBuilder b("fold-tree", env);
+    b.DefaultCapacity(1);
+    std::vector<services::NodeRef> leaves;
+    for (size_t i = 0; i < mappers.size(); ++i) {
+      leaves.push_back(b.Source("in-" + std::to_string(i), b.Adopt(std::move(mappers[i])),
+                                std::make_unique<runtime::GrammarDeserializer>(unit)));
+    }
+    auto root = b.MergeTree("fold", std::move(leaves), OrderByKey, AddCounts,
+                            /*capacity=*/1);
+    b.Sink("reducer-out", b.Connect(reducer_port_),
+           std::make_unique<runtime::GrammarSerializer>(unit))
+        .From(root);
+    last_status = b.Launch(registry);
+    last_stats = b.stats();
+    launched.store(true, std::memory_order_release);
+  }
+
+  services::GraphRegistry registry;
+  Status last_status;
+  services::GraphLaunchStats last_stats;
+  std::atomic<bool> launched{false};
+
+ private:
+  static int OrderByKey(const runtime::Msg& a, const runtime::Msg& b) {
+    return a.gmsg.GetBytes(proto::HadoopKv::kKey)
+        .compare(b.gmsg.GetBytes(proto::HadoopKv::kKey));
+  }
+  static void AddCounts(runtime::Msg& into, const runtime::Msg& from) {
+    into.gmsg.SetBytes(proto::HadoopKv::kValue,
+                       proto::CombineCounts(into.gmsg.GetBytes(proto::HadoopKv::kValue),
+                                            from.gmsg.GetBytes(proto::HadoopKv::kValue)));
+  }
+
+  const size_t streams_;
+  const uint16_t reducer_port_;
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<Connection>> pending_;
+};
+
+using KvRecord = std::pair<std::string, uint64_t>;  // key, count
+
+// Sorted: ascending distinct keys, each a run of 1..6 records. Unsorted:
+// keys drawn from a small vocabulary, so some neighbours repeat by chance.
+std::vector<KvRecord> MakeKvStream(Rng& rng, bool sorted) {
+  std::vector<KvRecord> records;
+  if (sorted) {
+    std::vector<std::string> keys;
+    for (int id = 0; id < 120; ++id) {
+      if (rng.NextBelow(2) == 0) {
+        keys.push_back("w" + std::to_string(id));
+      }
+    }
+    std::sort(keys.begin(), keys.end());
+    for (const std::string& key : keys) {
+      for (uint64_t run = 1 + rng.NextBelow(6); run > 0; --run) {
+        records.emplace_back(key, 1 + rng.NextBelow(9));
+      }
+    }
+  } else {
+    for (int i = 0; i < 300; ++i) {
+      records.emplace_back("w" + std::to_string(rng.NextBelow(12)), 1 + rng.NextBelow(9));
+    }
+  }
+  return records;
+}
+
+uint64_t CountRuns(const std::vector<KvRecord>& records) {
+  uint64_t runs = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (i == 0 || records[i].first != records[i - 1].first) {
+      ++runs;
+    }
+  }
+  return runs;
+}
 
 class GraphBuilderTest : public ::testing::Test {
  protected:
@@ -498,6 +606,141 @@ TEST_F(GraphBuilderTest, MemcachedProxyBackendConnectFailureClosesAllLegs) {
   EXPECT_TRUE(WaitFor([&] { return !(*conn)->Read(buf, sizeof(buf)).ok(); }));
   EXPECT_EQ(proxy.live_graphs(), 0u);
   platform.Stop();
+}
+
+// Differential check of folded MergeTrees over 1..4 streams against a
+// reference fold. Reads are capped at 23 bytes so records straddle fills.
+// Each stream arrives either whole (one write, then close) or trickled in
+// 61-byte chunks, whose pauses make sources release held runs mid-stream.
+TEST_F(GraphBuilderTest, FoldedMergeTreeMatchesReference) {
+  StackCostModel capped = StackCostModel::Null();
+  capped.max_bytes_per_op = 23;
+  SimTransport capped_transport(&net_, capped);
+  uint16_t port = 7600;
+  for (const bool trickle : {false, true}) {
+    for (size_t streams = 1; streams <= 4; ++streams) {
+      for (const bool sorted : {true, false}) {
+        const uint64_t seed = 100 * streams + (sorted ? 1 : 2) + (trickle ? 10 : 0);
+        SCOPED_TRACE(::testing::Message() << "streams=" << streams << " sorted=" << sorted
+                                          << " trickle=" << trickle << " seed=" << seed);
+        const uint16_t ingest_port = port++;
+        const uint16_t reducer_port = port++;
+        auto reducer_listener = transport_.Listen(reducer_port);
+        ASSERT_TRUE(reducer_listener.ok());
+        runtime::Platform platform(config_, &capped_transport);
+        FoldTreeService service(streams, reducer_port);
+        ASSERT_TRUE(platform.RegisterProgram(ingest_port, &service).ok());
+        platform.Start();
+        ScopedPlatformStop stop_guard(platform);
+
+        Rng rng(seed);
+        std::map<std::string, uint64_t> expected;
+        uint64_t records = 0;
+        uint64_t runs = 0;
+        std::vector<std::string> wires;
+        for (size_t i = 0; i < streams; ++i) {
+          const std::vector<KvRecord> stream = MakeKvStream(rng, sorted);
+          records += stream.size();
+          runs += CountRuns(stream);
+          std::string wire;
+          for (const auto& [key, count] : stream) {
+            expected[key] += count;
+            proto::EncodeKv(key, std::to_string(count), &wire);
+          }
+          wires.push_back(std::move(wire));
+        }
+
+        std::vector<std::unique_ptr<Connection>> mappers;
+        for (size_t i = 0; i < streams; ++i) {
+          auto conn = transport_.Connect(ingest_port);
+          ASSERT_TRUE(conn.ok());
+          mappers.push_back(std::move(conn).value());
+        }
+        std::vector<size_t> sent(streams, 0);
+        for (bool more = true; more;) {
+          more = false;
+          for (size_t i = 0; i < streams; ++i) {
+            const size_t chunk = trickle ? 61 : wires[i].size();
+            const size_t len = std::min(chunk, wires[i].size() - sent[i]);
+            if (len > 0) {
+              auto wrote = mappers[i]->Write(wires[i].data() + sent[i], len);
+              ASSERT_TRUE(wrote.ok());
+              sent[i] += *wrote;
+            }
+            more = more || sent[i] < wires[i].size();
+          }
+          if (trickle) {
+            std::this_thread::sleep_for(50us);
+          }
+        }
+        for (auto& mapper : mappers) {
+          mapper->Close();
+        }
+
+        // The reducer leg closes only after the tree's EOF reaches its sink,
+        // so everything read before the close is the whole folded stream.
+        std::unique_ptr<Connection> reducer;
+        ASSERT_TRUE(WaitFor([&] {
+          reducer = (*reducer_listener)->Accept();
+          return reducer != nullptr;
+        }));
+        std::string out;
+        ASSERT_TRUE(WaitFor(
+            [&] {
+              char buf[4096];
+              auto got = reducer->Read(buf, sizeof(buf));
+              if (got.ok()) {
+                out.append(buf, *got);
+              }
+              return !got.ok();
+            },
+            10'000ms))
+            << "reducer leg still open: " << service.registry.stats().records_in << " of "
+            << records << " records parsed, " << out.size() << " bytes out";
+
+        BufferPool pool(64, 4096);
+        BufferChain chain(&pool);
+        ASSERT_TRUE(chain.Append(out));
+        grammar::UnitParser parser(&proto::HadoopKvUnit());
+        grammar::Message kv;
+        std::map<std::string, uint64_t> totals;
+        std::string last_key;
+        bool increasing = true;
+        uint64_t pairs_out = 0;
+        while (parser.Feed(chain, &kv) == grammar::ParseStatus::kDone) {
+          const std::string key(proto::HadoopKv(&kv).key());
+          increasing = increasing && (pairs_out == 0 || key > last_key);
+          totals[key] += proto::ParseCount(proto::HadoopKv(&kv).value());
+          last_key = key;
+          ++pairs_out;
+        }
+        EXPECT_TRUE(chain.empty()) << "partial record at the end of the reducer stream";
+        EXPECT_EQ(totals, expected);
+        // A trickled lone stream may release a run at a pause and carry its
+        // tail as a second message; any MergeTask above folds that away.
+        if (sorted && (!trickle || streams > 1)) {
+          EXPECT_TRUE(increasing);
+          EXPECT_EQ(pairs_out, expected.size());
+        }
+
+        ASSERT_TRUE(WaitFor([&] { return service.registry.stats().graphs_retired == 1; }));
+        EXPECT_TRUE(WaitFor([&] { return platform.msgs().in_use() == 0; }))
+            << platform.msgs().in_use() << " msgs still out";
+        EXPECT_TRUE(service.last_status.ok());
+        EXPECT_EQ(service.last_stats.merges, streams - 1);
+
+        // Each source pushes at most one message per run, plus one per fill
+        // that ended in a pause; a stream written whole never pauses.
+        const services::RegistryStats stats = service.registry.stats();
+        EXPECT_EQ(stats.records_in, records);
+        EXPECT_LE(stats.records_pushed, runs + stats.readv_calls);
+        if (!trickle) {
+          EXPECT_EQ(stats.records_pushed, runs);
+        }
+        platform.Stop();
+      }
+    }
+  }
 }
 
 }  // namespace

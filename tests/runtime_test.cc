@@ -838,6 +838,39 @@ TEST(MergeTaskTest, MergesOrderedStreamsCombiningEqualKeys) {
   sched.Stop();
 }
 
+// A merge whose output is full when both inputs end must still forward
+// exactly one EOF: the blocked EOF is delivered later, not made again each
+// time the consumer pops (a sink drains after its EOF, so every pop would
+// wake the merge to make another).
+TEST(MergeTaskTest, ForwardsOneEofThroughAFullOutput) {
+  MsgPool msgs(16);
+  Channel left(4), right(4), out(1);
+  MergeTask task(
+      "merge",
+      [](const Msg& a, const Msg& b) { return a.bytes.compare(b.bytes); },
+      [](Msg&, const Msg&) {});
+  task.BindInputs(&left, &right, nullptr);
+  task.BindOutput(&out);
+  ASSERT_TRUE(left.TryPush(MakeKvMsg(msgs, "a", "1")));
+  for (Channel* in : {&left, &right}) {
+    MsgRef eof(new Msg(), nullptr);
+    eof->kind = Msg::Kind::kEof;
+    ASSERT_TRUE(in->TryPush(std::move(eof)));
+  }
+
+  // One pop per round, so every emission meets a full channel.
+  TaskContext ctx(SchedulingPolicy::kNonCooperative, 0, 0);
+  std::vector<Msg::Kind> kinds;
+  for (int round = 0; round < 6; ++round) {
+    ctx.BeginSlice();
+    (void)task.Run(ctx);
+    if (MsgRef m = out.TryPop()) {
+      kinds.push_back(m->kind);
+    }
+  }
+  EXPECT_EQ(kinds, (std::vector<Msg::Kind>{Msg::Kind::kBytes, Msg::Kind::kEof}));
+}
+
 // -------------------------------------------------------------- StateStore ----
 
 TEST(StateStoreTest, PutGetErase) {
