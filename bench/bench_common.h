@@ -1,20 +1,25 @@
 // Shared harness pieces for the figure-reproduction benches.
 //
 // Each bench point spins up the system under test on a fresh simulated
-// fabric, applies a closed-loop load for a fixed window, and reports
-// requests/sec + mean latency through benchmark counters. Series names follow
-// the paper: FLICK (kernel stack model), FLICK-mTCP, Apache-like, Nginx-like,
-// Moxi-like.
+// fabric and drives it with the one load engine (load/load_engine.h) for a
+// fixed window: closed loop for the throughput figures (ReportLoad:
+// requests/sec + latency from send start), open loop for the tail-latency
+// points (ReportOpenLoad: offered vs achieved rate + percentiles from the
+// scheduled arrival). Series names follow the paper: FLICK (kernel stack
+// model), FLICK-mTCP, Apache-like, Nginx-like, Moxi-like.
 #ifndef FLICK_BENCH_BENCH_COMMON_H_
 #define FLICK_BENCH_BENCH_COMMON_H_
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
-#include "load/http_load.h"
-#include "load/open_loop.h"
+#include "load/backends.h"
+#include "load/load_engine.h"
 #include "net/sim_transport.h"
+#include "proto/memcached.h"
 #include "runtime/platform.h"
 #include "services/backend_pool.h"
 #include "services/service_util.h"
@@ -29,6 +34,74 @@ inline constexpr uint64_t kLoadWindowNs = 1'000'000'000;
 // so the default 256 KiB/direction rings would cost GBs; 16 KiB suffices for
 // the request/response sizes of every figure workload.
 inline constexpr size_t kSimRingBytes = 16 * 1024;
+
+// The memcached figures' backend farm (fig5, the DSL ablation, the tail
+// benches): kMcBackends servers on ports 11000.., each preloaded with every
+// key of kMcKeySpace (32-byte values). Scaled from the paper's 10 backends:
+// see bench_fig5_memcached.cc.
+inline constexpr int kMcBackends = 4;
+inline constexpr int kMcKeySpace = 1000;
+
+struct MemcachedFarm {
+  std::vector<std::unique_ptr<load::MemcachedBackend>> servers;
+  std::vector<uint16_t> ports;
+
+  // `service_delay_ns`: see MemcachedBackend::set_service_delay_ns.
+  explicit MemcachedFarm(Transport* transport, uint64_t service_delay_ns = 0) {
+    for (int b = 0; b < kMcBackends; ++b) {
+      const uint16_t port = static_cast<uint16_t>(11000 + b);
+      servers.push_back(std::make_unique<load::MemcachedBackend>(transport, port));
+      servers.back()->set_service_delay_ns(service_delay_ns);
+      FLICK_CHECK(servers.back()->Start().ok());
+      for (int k = 0; k < kMcKeySpace; ++k) {
+        servers.back()->Preload("key-" + std::to_string(k), std::string(32, 'v'));
+      }
+      ports.push_back(port);
+    }
+  }
+  ~MemcachedFarm() {
+    for (auto& s : servers) {
+      s->Stop();
+    }
+  }
+
+  // Connections the farm ever accepted == backend fds the middlebox consumed.
+  uint64_t TotalAccepted() const {
+    uint64_t total = 0;
+    for (const auto& s : servers) {
+      total += s->connections_accepted();
+    }
+    return total;
+  }
+};
+
+// The memcached figures' closed-loop load: `clients` connections on two
+// generator threads sending binary GETs over the farm's key space to the
+// proxy on port 11211.
+inline load::LoadConfig MemcachedGetLoad(int clients, uint64_t duration_ns = kLoadWindowNs) {
+  load::LoadConfig cfg;
+  cfg.protocol = load::Protocol::kMemcached;
+  cfg.port = 11211;
+  cfg.connections = clients;
+  cfg.threads = 2;
+  cfg.key_space = kMcKeySpace;
+  cfg.opcode = proto::kMemcachedGet;
+  cfg.duration_ns = duration_ns;
+  return cfg;
+}
+
+// The HTTP figures' closed-loop load (fig4, websrv): `clients` connections
+// on two generator threads sending GETs to port 80.
+inline load::LoadConfig HttpGetLoad(int clients, bool persistent,
+                                    uint64_t duration_ns = kLoadWindowNs) {
+  load::LoadConfig cfg;
+  cfg.port = 80;
+  cfg.connections = clients;
+  cfg.threads = 2;
+  cfg.persistent = persistent;
+  cfg.duration_ns = duration_ns;
+  return cfg;
+}
 
 inline runtime::PlatformConfig MakePlatformConfig(int workers, size_t io_shards = 1) {
   runtime::PlatformConfig config;
@@ -87,28 +160,25 @@ inline void ReportShardCounters(benchmark::State& state, runtime::Platform& plat
       benchmark::Counter::kAvgIterations);
 }
 
+// Exports a closed-loop run: achieved rate and latency from send start.
 inline void ReportLoad(benchmark::State& state, const load::LoadResult& result) {
-  state.counters["reqs_per_s"] =
-      benchmark::Counter(result.RequestsPerSec(), benchmark::Counter::kAvgIterations);
-  state.counters["mean_lat_ms"] =
-      benchmark::Counter(result.MeanLatencyMs(), benchmark::Counter::kAvgIterations);
-  state.counters["p99_lat_ms"] = benchmark::Counter(
-      static_cast<double>(result.latency.Quantile(0.99)) / 1e6,
-      benchmark::Counter::kAvgIterations);
-  state.counters["p999_lat_ms"] = benchmark::Counter(
-      static_cast<double>(result.latency.Quantile(0.999)) / 1e6,
-      benchmark::Counter::kAvgIterations);
-  state.counters["errors"] =
-      benchmark::Counter(static_cast<double>(result.errors), benchmark::Counter::kAvgIterations);
+  auto avg = [](double v) {
+    return benchmark::Counter(v, benchmark::Counter::kAvgIterations);
+  };
+  state.counters["reqs_per_s"] = avg(result.AchievedRps());
+  state.counters["mean_lat_ms"] = avg(result.MeanMs());
+  state.counters["p99_lat_ms"] = avg(result.P99Ms());
+  state.counters["p999_lat_ms"] = avg(result.P999Ms());
+  state.counters["errors"] = avg(static_cast<double>(result.errors));
 }
 
 // Exports an open-loop run: offered vs achieved rate, CO-free tail
 // percentiles (measured from scheduled arrival timestamps — see
-// load/open_loop.h and docs/BENCHMARKS.md), and the drain/error tallies.
+// load/load_engine.h and docs/BENCHMARKS.md), and the drain/error tallies.
 // Used by the figure sweeps; the gated CI smoke point instead exports
 // per-mode suffixed counters built from paired windows (see
 // bench_tail_latency.cc's ReportWindowSeries).
-inline void ReportOpenLoad(benchmark::State& state, const load::OpenLoopResult& result) {
+inline void ReportOpenLoad(benchmark::State& state, const load::LoadResult& result) {
   auto avg = [](double v) {
     return benchmark::Counter(v, benchmark::Counter::kAvgIterations);
   };
@@ -120,6 +190,7 @@ inline void ReportOpenLoad(benchmark::State& state, const load::OpenLoopResult& 
   state.counters["mean_ms"] = avg(result.MeanMs());
   state.counters["errors"] = avg(static_cast<double>(result.errors));
   state.counters["abandoned"] = avg(static_cast<double>(result.abandoned));
+  // Sum of each generator thread's own backlog high-water mark.
   state.counters["backlog_peak"] =
       benchmark::Counter(static_cast<double>(result.backlog_peak));
 }

@@ -17,52 +17,14 @@
 // the comparison isolates dispatch cost, not cache hit ratio.
 #include "bench/bench_common.h"
 
-#include "load/backends.h"
-#include "load/memcached_load.h"
-#include "proto/memcached.h"
 #include "services/dsl_service.h"
 #include "services/memcached_proxy.h"
 
 namespace flick::bench {
 namespace {
 
-constexpr int kBackends = 4;
 constexpr int kClients = 64;
-constexpr int kKeySpace = 1000;
 constexpr int kCores = 2;
-
-struct MemcachedFarm {
-  std::vector<std::unique_ptr<load::MemcachedBackend>> servers;
-  std::vector<uint16_t> ports;
-
-  explicit MemcachedFarm(Transport* transport) {
-    for (int b = 0; b < kBackends; ++b) {
-      const uint16_t port = static_cast<uint16_t>(11000 + b);
-      servers.push_back(std::make_unique<load::MemcachedBackend>(transport, port));
-      FLICK_CHECK(servers.back()->Start().ok());
-      for (int k = 0; k < kKeySpace; ++k) {
-        servers.back()->Preload("key-" + std::to_string(k), std::string(32, 'v'));
-      }
-      ports.push_back(port);
-    }
-  }
-  ~MemcachedFarm() {
-    for (auto& s : servers) {
-      s->Stop();
-    }
-  }
-};
-
-load::MemcachedLoadConfig LoadCfg() {
-  load::MemcachedLoadConfig cfg;
-  cfg.port = 11211;
-  cfg.clients = kClients;
-  cfg.threads = 2;
-  cfg.key_space = kKeySpace;
-  cfg.opcode = proto::kMemcachedGet;
-  cfg.duration_ns = kLoadWindowNs;
-  return cfg;
-}
 
 void ReportDslCounters(benchmark::State& state,
                        const services::RegistryStats& rstats) {
@@ -94,7 +56,8 @@ void DslArm(benchmark::State& state, bool lower) {
     FLICK_CHECK(platform.RegisterProgram(11211, service->get()).ok());
     platform.Start();
 
-    const load::LoadResult result = load::RunMemcachedLoad(&edge_transport, LoadCfg());
+    const load::LoadResult result =
+        load::RunLoad(&edge_transport, MemcachedGetLoad(kClients));
     ReportLoad(state, result);
     ReportDslCounters(state, (*service)->stats());
     if ((*service)->pool() != nullptr) {
@@ -121,7 +84,8 @@ void HandWrittenArm(benchmark::State& state) {
     FLICK_CHECK(platform.RegisterProgram(11211, &proxy).ok());
     platform.Start();
 
-    const load::LoadResult result = load::RunMemcachedLoad(&edge_transport, LoadCfg());
+    const load::LoadResult result =
+        load::RunLoad(&edge_transport, MemcachedGetLoad(kClients));
     ReportLoad(state, result);
     ReportDslCounters(state, proxy.registry().stats());
     if (proxy.pool() != nullptr) {

@@ -55,13 +55,8 @@ void FlickLb(benchmark::State& state, StackCostModel middlebox_model, bool persi
     FLICK_CHECK(platform.RegisterProgram(80, &lb).ok());
     platform.Start();
 
-    load::HttpLoadConfig cfg;
-    cfg.port = 80;
-    cfg.concurrency = concurrency;
-    cfg.threads = 2;
-    cfg.persistent = persistent;
-    cfg.duration_ns = kLoadWindowNs;
-    const load::LoadResult result = load::RunHttpLoad(&edge_transport, cfg);
+    const load::LoadResult result =
+        load::RunLoad(&edge_transport, HttpGetLoad(concurrency, persistent));
     ReportLoad(state, result);
     platform.Stop();
   }
@@ -79,25 +74,20 @@ void BaselineLb(benchmark::State& state, bool apache_like, bool persistent) {
     cfg.listen_port = 80;
     cfg.backend_ports = farm.ports;
 
-    load::HttpLoadConfig load_cfg;
-    load_cfg.port = 80;
-    load_cfg.concurrency = concurrency;
-    load_cfg.threads = 2;
-    load_cfg.persistent = persistent;
-    load_cfg.duration_ns = kLoadWindowNs;
+    const load::LoadConfig load_cfg = HttpGetLoad(concurrency, persistent);
 
     load::LoadResult result;
     if (apache_like) {
       cfg.threads = 16;
       baseline::ThreadedProxy proxy(&mb_transport, cfg);
       FLICK_CHECK(proxy.Start().ok());
-      result = load::RunHttpLoad(&edge_transport, load_cfg);
+      result = load::RunLoad(&edge_transport, load_cfg);
       proxy.Stop();
     } else {
       cfg.threads = 4;
       baseline::EventProxy proxy(&mb_transport, cfg);
       FLICK_CHECK(proxy.Start().ok());
-      result = load::RunHttpLoad(&edge_transport, load_cfg);
+      result = load::RunLoad(&edge_transport, load_cfg);
       proxy.Stop();
     }
     ReportLoad(state, result);
@@ -124,13 +114,8 @@ void Fig4Smoke(benchmark::State& state, services::BackendMode mode) {
     FLICK_CHECK(platform.RegisterProgram(80, &lb).ok());
     platform.Start();
 
-    load::HttpLoadConfig cfg;
-    cfg.port = 80;
-    cfg.concurrency = concurrency;
-    cfg.threads = 2;
-    cfg.persistent = true;
-    cfg.duration_ns = 250'000'000;
-    const load::LoadResult result = load::RunHttpLoad(&edge_transport, cfg);
+    const load::LoadResult result =
+        load::RunLoad(&edge_transport, HttpGetLoad(concurrency, true, 250'000'000));
     ReportLoad(state, result);
     if (lb.pool() != nullptr) {
       ReportPoolCounters(state, lb.pool()->stats());
@@ -186,13 +171,8 @@ void BM_Fig4Shards(benchmark::State& state) {
     FLICK_CHECK(platform.RegisterProgram(80, &lb).ok());
     platform.Start();
 
-    load::HttpLoadConfig cfg;
-    cfg.port = 80;
-    cfg.concurrency = 100;
-    cfg.threads = 2;
-    cfg.persistent = true;
-    cfg.duration_ns = 250'000'000;
-    const load::LoadResult result = load::RunHttpLoad(&edge_transport, cfg);
+    const load::LoadResult result =
+        load::RunLoad(&edge_transport, HttpGetLoad(100, true, 250'000'000));
     ReportLoad(state, result);
     ReportPoolCounters(state, lb.pool()->stats());
     ReportShardCounters(state, platform);

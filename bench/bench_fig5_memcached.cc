@@ -10,9 +10,6 @@
 #include "bench/bench_common.h"
 
 #include "baseline/baseline_proxies.h"
-#include "load/backends.h"
-#include "load/memcached_load.h"
-#include "proto/memcached.h"
 #include "services/memcached_proxy.h"
 
 namespace flick::bench {
@@ -23,52 +20,9 @@ namespace {
 // means 1280+ simultaneously polled connections — more than this repo's
 // 2-core host can drive while also running the middlebox, the backends and
 // the load generator. 4 backends x 64 clients preserves the fan-out > 1
-// structure and the FLICK-vs-Moxi contrast that Figure 5 demonstrates.
-constexpr int kBackends = 4;
+// structure and the FLICK-vs-Moxi contrast that Figure 5 demonstrates
+// (kMcBackends in bench_common.h).
 constexpr int kClients = 64;
-constexpr int kKeySpace = 1000;
-
-struct MemcachedFarm {
-  std::vector<std::unique_ptr<load::MemcachedBackend>> servers;
-  std::vector<uint16_t> ports;
-
-  explicit MemcachedFarm(Transport* transport) {
-    for (int b = 0; b < kBackends; ++b) {
-      const uint16_t port = static_cast<uint16_t>(11000 + b);
-      servers.push_back(std::make_unique<load::MemcachedBackend>(transport, port));
-      FLICK_CHECK(servers.back()->Start().ok());
-      for (int k = 0; k < kKeySpace; ++k) {
-        servers.back()->Preload("key-" + std::to_string(k), std::string(32, 'v'));
-      }
-      ports.push_back(port);
-    }
-  }
-  ~MemcachedFarm() {
-    for (auto& s : servers) {
-      s->Stop();
-    }
-  }
-
-  // Connections the farm ever accepted == backend fds the middlebox consumed.
-  uint64_t TotalAccepted() const {
-    uint64_t total = 0;
-    for (const auto& s : servers) {
-      total += s->connections_accepted();
-    }
-    return total;
-  }
-};
-
-load::MemcachedLoadConfig LoadCfg() {
-  load::MemcachedLoadConfig cfg;
-  cfg.port = 11211;
-  cfg.clients = kClients;
-  cfg.threads = 2;
-  cfg.key_space = kKeySpace;
-  cfg.opcode = proto::kMemcachedGet;
-  cfg.duration_ns = kLoadWindowNs;
-  return cfg;
-}
 
 // `flush_watermark`: 1 = write per pipelined request (PR 2's pooled shape,
 // kept as the un-batched comparison series); larger = requests drained per
@@ -91,7 +45,8 @@ void FlickProxy(benchmark::State& state, StackCostModel middlebox_model,
     FLICK_CHECK(platform.RegisterProgram(11211, &proxy).ok());
     platform.Start();
 
-    const load::LoadResult result = load::RunMemcachedLoad(&edge_transport, LoadCfg());
+    const load::LoadResult result =
+        load::RunLoad(&edge_transport, MemcachedGetLoad(kClients));
     ReportLoad(state, result);
     state.counters["backend_conns"] = benchmark::Counter(
         static_cast<double>(farm.TotalAccepted()), benchmark::Counter::kAvgIterations);
@@ -116,7 +71,8 @@ void MoxiLike(benchmark::State& state) {
     cfg.threads = cores;
     baseline::MoxiProxy proxy(&mb_transport, cfg);
     FLICK_CHECK(proxy.Start().ok());
-    const load::LoadResult result = load::RunMemcachedLoad(&edge_transport, LoadCfg());
+    const load::LoadResult result =
+        load::RunLoad(&edge_transport, MemcachedGetLoad(kClients));
     ReportLoad(state, result);
     proxy.Stop();
   }
@@ -143,10 +99,8 @@ void Fig5Conns(benchmark::State& state, services::BackendMode mode) {
     FLICK_CHECK(platform.RegisterProgram(11211, &proxy).ok());
     platform.Start();
 
-    load::MemcachedLoadConfig cfg = LoadCfg();
-    cfg.clients = clients;
-    cfg.duration_ns = 250'000'000;
-    const load::LoadResult result = load::RunMemcachedLoad(&edge_transport, cfg);
+    const load::LoadResult result =
+        load::RunLoad(&edge_transport, MemcachedGetLoad(clients, 250'000'000));
     ReportLoad(state, result);
     state.counters["backend_conns"] = benchmark::Counter(
         static_cast<double>(farm.TotalAccepted()), benchmark::Counter::kAvgIterations);
@@ -208,10 +162,8 @@ void Fig5Shards(benchmark::State& state) {
     FLICK_CHECK(platform.RegisterProgram(11211, &proxy).ok());
     platform.Start();
 
-    load::MemcachedLoadConfig cfg = LoadCfg();
-    cfg.clients = 32;
-    cfg.duration_ns = 250'000'000;
-    const load::LoadResult result = load::RunMemcachedLoad(&edge_transport, cfg);
+    const load::LoadResult result =
+        load::RunLoad(&edge_transport, MemcachedGetLoad(32, 250'000'000));
     ReportLoad(state, result);
     state.counters["backend_conns"] = benchmark::Counter(
         static_cast<double>(farm.TotalAccepted()), benchmark::Counter::kAvgIterations);

@@ -1,7 +1,8 @@
 // Open-loop tail latency: the fig5 memcached topology (proxy + 4 backends on
-// the sim fabric) driven by the Poisson open-loop generator (load/open_loop.h)
-// instead of the closed-loop one, reporting coordinated-omission-free
-// p50/p99/p999 measured from SCHEDULED arrival timestamps.
+// the sim fabric) driven by the load engine's Poisson open-loop arrivals
+// (load/load_engine.h) instead of closed-loop ones, reporting
+// coordinated-omission-free p50/p99/p999 measured from SCHEDULED arrival
+// timestamps.
 //
 // Two modes at the SAME offered load:
 //   * PooledMiss — cache mode off: every GET pays a pool lease + backend RTT.
@@ -28,8 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "load/backends.h"
-#include "load/open_loop.h"
 #include "proto/memcached.h"
 #include "services/memcached_proxy.h"
 
@@ -40,9 +39,6 @@
 namespace flick::bench {
 namespace {
 
-constexpr int kBackends = 4;
-constexpr int kKeySpace = 1000;
-
 // Backend service time: a LAN-realistic ~1 ms per request (RTT + lookup),
 // served WITHOUT blocking the backend (deferred replies), so it adds
 // latency to every miss-path request but no capacity ceiling. This is the
@@ -51,29 +47,6 @@ constexpr int kKeySpace = 1000;
 // what makes the smoke's strict p99 ordering meaningful rather than a
 // comparison of two noise floors.
 constexpr uint64_t kBackendServiceDelayNs = 1'000'000;
-
-struct MemcachedFarm {
-  std::vector<std::unique_ptr<load::MemcachedBackend>> servers;
-  std::vector<uint16_t> ports;
-
-  explicit MemcachedFarm(Transport* transport) {
-    for (int b = 0; b < kBackends; ++b) {
-      const uint16_t port = static_cast<uint16_t>(11000 + b);
-      servers.push_back(std::make_unique<load::MemcachedBackend>(transport, port));
-      servers.back()->set_service_delay_ns(kBackendServiceDelayNs);
-      FLICK_CHECK(servers.back()->Start().ok());
-      for (int k = 0; k < kKeySpace; ++k) {
-        servers.back()->Preload("key-" + std::to_string(k), std::string(32, 'v'));
-      }
-      ports.push_back(port);
-    }
-  }
-  ~MemcachedFarm() {
-    for (auto& s : servers) {
-      s->Stop();
-    }
-  }
-};
 
 // Sweeps every key once through the proxy over one connection, so each GET
 // misses exactly once and populates the store — the measured window then
@@ -118,17 +91,12 @@ void WarmCache(Transport* transport, uint16_t port, int keys) {
   conn->Close();
 }
 
-load::OpenLoopConfig OpenCfg(double offered_rps, uint64_t window_ns,
-                             double set_fraction = 0.0) {
-  load::OpenLoopConfig cfg;
-  cfg.port = 11211;
+load::LoadConfig OpenCfg(double offered_rps, uint64_t window_ns,
+                         double set_fraction = 0.0) {
+  load::LoadConfig cfg = MemcachedGetLoad(/*clients=*/32, window_ns);
   cfg.offered_rps = offered_rps;
-  cfg.connections = 32;
-  cfg.threads = 2;
-  cfg.key_space = kKeySpace;
   cfg.opcode = proto::kMemcachedGetK;
   cfg.set_fraction = set_fraction;
-  cfg.duration_ns = window_ns;
   return cfg;
 }
 
@@ -141,7 +109,7 @@ void TailPoint(benchmark::State& state, bool cache_mode, uint64_t window_ns,
     SimTransport mb_transport(&net, StackCostModel::Kernel());
     SimTransport edge_transport(&net, StackCostModel::Kernel());
 
-    MemcachedFarm farm(&edge_transport);
+    MemcachedFarm farm(&edge_transport, kBackendServiceDelayNs);
     runtime::Platform platform(MakePlatformConfig(2), &mb_transport);
     services::MemcachedProxyService::Options options;
     options.wire.mode = services::BackendMode::kPooled;
@@ -152,10 +120,10 @@ void TailPoint(benchmark::State& state, bool cache_mode, uint64_t window_ns,
     platform.Start();
 
     if (cache_mode) {
-      WarmCache(&edge_transport, 11211, kKeySpace);
+      WarmCache(&edge_transport, 11211, kMcKeySpace);
     }
-    const load::OpenLoopResult result = load::RunMemcachedOpenLoad(
-        &edge_transport, OpenCfg(offered, window_ns, set_fraction));
+    const load::LoadResult result =
+        load::RunLoad(&edge_transport, OpenCfg(offered, window_ns, set_fraction));
     ReportOpenLoad(state, result);
     ReportCacheCounters(state, proxy.registry().stats());
     if (proxy.pool() != nullptr) {
@@ -174,7 +142,7 @@ struct ModeStack {
   SimNetwork net{kSimRingBytes};
   SimTransport mb_transport{&net, StackCostModel::Kernel()};
   SimTransport edge_transport{&net, StackCostModel::Kernel()};
-  MemcachedFarm farm{&edge_transport};
+  MemcachedFarm farm{&edge_transport, kBackendServiceDelayNs};
   runtime::Platform platform{MakePlatformConfig(2), &mb_transport};
   services::MemcachedProxyService proxy;
 
@@ -190,7 +158,7 @@ struct ModeStack {
     FLICK_CHECK(platform.RegisterProgram(11211, &proxy).ok());
     platform.Start();
     if (cache_mode) {
-      WarmCache(&edge_transport, 11211, kKeySpace);
+      WarmCache(&edge_transport, 11211, kMcKeySpace);
     }
   }
   ~ModeStack() { platform.Stop(); }
@@ -215,8 +183,8 @@ double MinOf(const std::vector<double>& v) {
 // of the intrinsic tail, and short windows make a stall-free window likely.
 // The rate/median stats are medians (already stable).
 void ReportWindowSeries(benchmark::State& state, const std::string& suffix,
-                        const std::vector<load::OpenLoopResult>& runs) {
-  auto collect = [&](double (load::OpenLoopResult::*fn)() const) {
+                        const std::vector<load::LoadResult>& runs) {
+  auto collect = [&](double (load::LoadResult::*fn)() const) {
     std::vector<double> v;
     for (const auto& r : runs) {
       v.push_back((r.*fn)());
@@ -232,15 +200,15 @@ void ReportWindowSeries(benchmark::State& state, const std::string& suffix,
     return benchmark::Counter(v, benchmark::Counter::kAvgIterations);
   };
   state.counters["offered_rps" + suffix] =
-      avg(MedianOf(collect(&load::OpenLoopResult::OfferedRps)));
+      avg(MedianOf(collect(&load::LoadResult::OfferedRps)));
   state.counters["achieved_rps" + suffix] =
-      avg(MedianOf(collect(&load::OpenLoopResult::AchievedRps)));
+      avg(MedianOf(collect(&load::LoadResult::AchievedRps)));
   state.counters["p50_ms" + suffix] =
-      avg(MedianOf(collect(&load::OpenLoopResult::P50Ms)));
+      avg(MedianOf(collect(&load::LoadResult::P50Ms)));
   state.counters["p99_ms" + suffix] =
-      avg(MinOf(collect(&load::OpenLoopResult::P99Ms)));
+      avg(MinOf(collect(&load::LoadResult::P99Ms)));
   state.counters["p999_ms" + suffix] =
-      avg(MinOf(collect(&load::OpenLoopResult::P999Ms)));
+      avg(MinOf(collect(&load::LoadResult::P999Ms)));
   state.counters["errors" + suffix] = avg(static_cast<double>(errors));
   state.counters["abandoned" + suffix] = avg(static_cast<double>(abandoned));
 }
@@ -255,12 +223,12 @@ void BM_TailSmokePair(benchmark::State& state) {
   for (auto _ : state) {
     ModeStack pooled(/*cache_mode=*/false);
     ModeStack cached(/*cache_mode=*/true);
-    std::vector<load::OpenLoopResult> pooled_runs, cached_runs;
+    std::vector<load::LoadResult> pooled_runs, cached_runs;
     for (int w = 0; w < kWindows; ++w) {
-      pooled_runs.push_back(load::RunMemcachedOpenLoad(
-          &pooled.edge_transport, OpenCfg(offered, kWindowNs)));
-      cached_runs.push_back(load::RunMemcachedOpenLoad(
-          &cached.edge_transport, OpenCfg(offered, kWindowNs)));
+      pooled_runs.push_back(
+          load::RunLoad(&pooled.edge_transport, OpenCfg(offered, kWindowNs)));
+      cached_runs.push_back(
+          load::RunLoad(&cached.edge_transport, OpenCfg(offered, kWindowNs)));
     }
     ReportWindowSeries(state, "_pooled_miss", pooled_runs);
     ReportWindowSeries(state, "_cache_hit", cached_runs);

@@ -33,13 +33,8 @@ void FlickWebServer(benchmark::State& state, StackCostModel middlebox_model,
     FLICK_CHECK(platform.RegisterProgram(80, &service).ok());
     platform.Start();
 
-    load::HttpLoadConfig cfg;
-    cfg.port = 80;
-    cfg.concurrency = concurrency;
-    cfg.threads = 2;
-    cfg.persistent = persistent;
-    cfg.duration_ns = kLoadWindowNs;
-    const load::LoadResult result = load::RunHttpLoad(&client_transport, cfg);
+    const load::LoadResult result =
+        load::RunLoad(&client_transport, HttpGetLoad(concurrency, persistent));
     ReportLoad(state, result);
     platform.Stop();
   }
@@ -56,23 +51,18 @@ void BaselineWebServer(benchmark::State& state, bool apache_like, bool persisten
     cfg.listen_port = 80;
     cfg.static_body = Body();
     load::LoadResult result;
-    load::HttpLoadConfig load_cfg;
-    load_cfg.port = 80;
-    load_cfg.concurrency = concurrency;
-    load_cfg.threads = 2;
-    load_cfg.persistent = persistent;
-    load_cfg.duration_ns = kLoadWindowNs;
+    const load::LoadConfig load_cfg = HttpGetLoad(concurrency, persistent);
     if (apache_like) {
       cfg.threads = 16;  // worker pool; excess connections queue
       baseline::ThreadedProxy proxy(&server_transport, cfg);
       FLICK_CHECK(proxy.Start().ok());
-      result = load::RunHttpLoad(&client_transport, load_cfg);
+      result = load::RunLoad(&client_transport, load_cfg);
       proxy.Stop();
     } else {
       cfg.threads = 4;
       baseline::EventProxy proxy(&server_transport, cfg);
       FLICK_CHECK(proxy.Start().ok());
-      result = load::RunHttpLoad(&client_transport, load_cfg);
+      result = load::RunLoad(&client_transport, load_cfg);
       proxy.Stop();
     }
     ReportLoad(state, result);

@@ -130,11 +130,13 @@ int main() {
 
   platform.Start();
 
+  bool ok = true;
   {
     auto conn = transport.Connect(80);
     std::string reply;
     Pump(**conn, "hello, flick!", &reply, 13);
     std::printf("  echo('hello, flick!') = '%s'\n", reply.c_str());
+    ok = ok && reply == "HELLO, FLICK!";
     (*conn)->Close();
   }
 
@@ -158,10 +160,11 @@ int main() {
       if (*got > 0) got_b.append(buf, *got);
     }
     std::printf("  mirror A saw '%s', mirror B saw '%s'\n", got_a.c_str(), got_b.c_str());
+    ok = ok && got_a == "mirrored-bytes" && got_b == "mirrored-bytes";
     (*conn)->Close();
   }
 
   platform.Stop();
-  std::printf("done.\n");
-  return 0;
+  std::printf(ok ? "done.\n" : "FAILED\n");
+  return ok ? 0 : 1;
 }

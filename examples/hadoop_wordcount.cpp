@@ -2,6 +2,7 @@
 // mapper emitters stream wordcount pairs through the FLICK combiner tree; the
 // reducer sink receives the (partially) aggregated stream. Prints the data
 // reduction the combiner achieved.
+#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -36,8 +37,11 @@ int main() {
   cfg.bytes_per_mapper = 1 * 1024 * 1024;
   const load::MapperResult sent = load::RunMapperLoad(&transport, cfg);
 
-  // Wait for the combiner tree to drain and retire.
-  while (agg.live_graphs() != 0) {
+  // Wait (bounded) for the combiner tree to drain and retire, and for the
+  // reducer to have counted every word the mappers sent.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((agg.live_graphs() != 0 || sink.counts_received() < sent.counts_sent) &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -51,8 +55,14 @@ int main() {
       1.0 - static_cast<double>(sink.pairs_received()) /
                 static_cast<double>(sent.pairs_sent);
   std::printf("combiner reduced the pair stream by %.1f%%\n", reduction * 100.0);
+  const bool ok = sent.pairs_sent > 0 && sink.counts_received() == sent.counts_sent;
+  if (!ok) {
+    std::printf("FAILED: reducer counted %llu of %llu words\n",
+                static_cast<unsigned long long>(sink.counts_received()),
+                static_cast<unsigned long long>(sent.counts_sent));
+  }
 
   platform.Stop();
   sink.Stop();
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "load/backends.h"
-#include "load/http_load.h"
+#include "load/load_engine.h"
 #include "net/sim_transport.h"
 #include "runtime/platform.h"
 #include "services/http_lb.h"
@@ -34,19 +34,20 @@ int main() {
   FLICK_CHECK(platform.RegisterProgram(80, &lb).ok());
   platform.Start();
 
+  bool ok = true;
   for (const bool persistent : {true, false}) {
-    load::HttpLoadConfig cfg;
+    load::LoadConfig cfg;
     cfg.port = 80;
-    cfg.concurrency = 200;
+    cfg.connections = 200;
     cfg.threads = 2;
     cfg.persistent = persistent;
     cfg.duration_ns = 500'000'000;
-    const load::LoadResult result = load::RunHttpLoad(&kernel, cfg);
+    const load::LoadResult result = load::RunLoad(&kernel, cfg);
     std::printf("%-14s  %8.0f req/s   mean %.2f ms   p99 %.2f ms   errors %llu\n",
-                persistent ? "persistent" : "non-persistent", result.RequestsPerSec(),
-                result.MeanLatencyMs(),
-                static_cast<double>(result.latency.Quantile(0.99)) / 1e6,
+                persistent ? "persistent" : "non-persistent", result.AchievedRps(),
+                result.MeanMs(), result.P99Ms(),
                 static_cast<unsigned long long>(result.errors));
+    ok = ok && result.errors == 0 && result.completed > 0;
   }
 
   std::printf("LB forwarded %llu requests across %zu backends\n",
@@ -60,5 +61,5 @@ int main() {
   for (auto& b : backends) {
     b->Stop();
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -110,10 +110,12 @@ int main() {
   std::printf("GETK alpha -> status=%u value='%.*s'\n", cmd.status(),
               static_cast<int>(cmd.value().size()), cmd.value().data());
 
+  const bool ok = cmd.status() == proto::kMemcachedStatusOk && cmd.value() == "from-backend-0";
+
   (*conn)->Close();
   platform.Stop();
   b0.Stop();
   b1.Stop();
-  std::printf("quickstart OK\n");
-  return 0;
+  std::printf(ok ? "quickstart OK\n" : "quickstart FAILED\n");
+  return ok ? 0 : 1;
 }

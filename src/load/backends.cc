@@ -5,6 +5,7 @@
 #include <chrono>
 #include <deque>
 #include <utility>
+#include <vector>
 
 #include "base/time_util.h"
 #include "buffer/buffer_pool.h"
@@ -17,46 +18,54 @@ namespace flick::load {
 namespace {
 
 using namespace std::chrono_literals;
+using Served = PollingServer::Served;
 
-// Per-connection state for the polling server loops below.
-struct ConnState {
+constexpr size_t kChunkBytes = 8192;
+
+// One accepted connection of a PollingServer.
+struct ServerConn {
   std::unique_ptr<Connection> conn;
+  std::unique_ptr<PollingServer::Session> session;
   BufferChain rx;
   std::string tx;
   size_t tx_off = 0;
+  // Reply batches held back by the reply delay, as (due time, bytes). All
+  // delays are equal, so due order == insert order and replies stay FIFO.
+  std::deque<std::pair<uint64_t, std::string>> deferred;
+  bool closing = false;  // read no more; close once every reply is written
 };
 
-// Writes as much of state.tx as the transport accepts; false on fatal error.
-bool FlushTx(ConnState& state) {
-  while (state.tx_off < state.tx.size()) {
-    auto wrote = state.conn->Write(state.tx.data() + state.tx_off,
-                                   state.tx.size() - state.tx_off);
+// Writes as much of c.tx as the transport accepts; false on fatal error.
+bool FlushTx(ServerConn& c) {
+  while (c.tx_off < c.tx.size()) {
+    auto wrote = c.conn->Write(c.tx.data() + c.tx_off, c.tx.size() - c.tx_off);
     if (!wrote.ok()) {
       return false;
     }
     if (*wrote == 0) {
       return true;
     }
-    state.tx_off += *wrote;
+    c.tx_off += *wrote;
   }
-  state.tx.clear();
-  state.tx_off = 0;
+  c.tx.clear();
+  c.tx_off = 0;
   return true;
 }
 
 }  // namespace
 
-// ------------------------------------------------------------- HttpBackend ----
+// ----------------------------------------------------------- PollingServer ----
 
-HttpBackend::HttpBackend(Transport* transport, uint16_t port, std::string body)
-    : transport_(transport), port_(port) {
-  proto::HttpMessage response = proto::MakeResponse(200, body);
-  proto::SerializeResponse(response, &response_);
-}
+PollingServer::PollingServer(Transport* transport, uint16_t port, const char* thread_name,
+                             SessionFactory new_session)
+    : transport_(transport),
+      port_(port),
+      thread_name_(thread_name),
+      new_session_(std::move(new_session)) {}
 
-HttpBackend::~HttpBackend() { Stop(); }
+PollingServer::~PollingServer() { Stop(); }
 
-Status HttpBackend::Start() {
+Status PollingServer::Start() {
   auto listener = transport_->Listen(port_);
   if (!listener.ok()) {
     return listener.status();
@@ -68,7 +77,7 @@ Status HttpBackend::Start() {
   return OkStatus();
 }
 
-void HttpBackend::Stop() {
+void PollingServer::Stop() {
   if (running_.exchange(false)) {
     if (thread_.joinable()) {
       thread_.join();
@@ -77,34 +86,38 @@ void HttpBackend::Stop() {
   }
 }
 
-void HttpBackend::Serve() {
-  pthread_setname_np(pthread_self(), "lb-http-be");
-  BufferPool pool(512, 8192);
-  std::vector<std::unique_ptr<ConnState>> conns;
-  std::vector<std::unique_ptr<proto::HttpParser>> parsers;
-  std::vector<std::unique_ptr<proto::HttpMessage>> msgs;
+void PollingServer::Serve() {
+  pthread_setname_np(pthread_self(), thread_name_);
+  BufferPool pool(512, kChunkBytes);
+  std::vector<std::unique_ptr<ServerConn>> conns;
+  std::string delayed;  // one read's replies, when a reply delay is set
 
   while (running_.load(std::memory_order_acquire)) {
     bool did_work = false;
     while (auto conn = listener_->Accept()) {
-      auto state = std::make_unique<ConnState>();
-      state->conn = std::move(conn);
-      state->rx.set_pool(&pool);
-      conns.push_back(std::move(state));
-      parsers.push_back(std::make_unique<proto::HttpParser>(proto::HttpParser::Mode::kRequest));
-      msgs.push_back(std::make_unique<proto::HttpMessage>());
+      auto c = std::make_unique<ServerConn>();
+      c->conn = std::move(conn);
+      c->session = new_session_();
+      c->rx.set_pool(&pool);
+      conns.push_back(std::move(c));
       accepts_.fetch_add(1, std::memory_order_relaxed);
       did_work = true;
     }
+    const uint64_t delay_ns = reply_delay_ns_.load(std::memory_order_relaxed);
     for (size_t i = 0; i < conns.size();) {
-      ConnState& state = *conns[i];
-      bool dead = false;
-      if (!FlushTx(state)) {
-        dead = true;
+      ServerConn& c = *conns[i];
+      if (!c.deferred.empty()) {
+        const uint64_t now = MonotonicNanos();
+        while (!c.deferred.empty() && c.deferred.front().first <= now) {
+          c.tx += c.deferred.front().second;
+          c.deferred.pop_front();
+          did_work = true;
+        }
       }
-      char buf[4096];
-      while (!dead) {
-        auto got = state.conn->Read(buf, sizeof(buf));
+      bool dead = !FlushTx(c);
+      char buf[kChunkBytes];
+      while (!dead && !c.closing) {
+        auto got = c.conn->Read(buf, sizeof(buf));
         if (!got.ok()) {
           dead = true;
           break;
@@ -113,22 +126,22 @@ void HttpBackend::Serve() {
           break;
         }
         did_work = true;
-        state.rx.Append(buf, *got);
-        while (parsers[i]->Feed(state.rx, msgs[i].get()) == grammar::ParseStatus::kDone) {
-          requests_.fetch_add(1, std::memory_order_relaxed);
-          state.tx += response_;
-          if (!msgs[i]->keep_alive) {
-            FlushTx(state);
-            dead = true;
-            break;
-          }
+        bytes_.fetch_add(*got, std::memory_order_relaxed);
+        c.rx.Append(buf, *got);
+        const Served served = c.session->Serve(c.rx, delay_ns == 0 ? &c.tx : &delayed);
+        requests_.fetch_add(served.requests, std::memory_order_relaxed);
+        c.closing = served.close;
+        if (!delayed.empty()) {
+          c.deferred.emplace_back(MonotonicNanos() + delay_ns, std::move(delayed));
+          delayed.clear();
         }
-        FlushTx(state);
+        dead = !FlushTx(c);
       }
-      if (dead) {
-        conns.erase(conns.begin() + static_cast<long>(i));
-        parsers.erase(parsers.begin() + static_cast<long>(i));
-        msgs.erase(msgs.begin() + static_cast<long>(i));
+      // A closing connection goes only once every reply has been written:
+      // dropping it earlier would cut the reply it is closing after.
+      if (dead || (c.closing && c.deferred.empty() && c.tx.empty())) {
+        conns[i] = std::move(conns.back());
+        conns.pop_back();
       } else {
         ++i;
       }
@@ -137,148 +150,105 @@ void HttpBackend::Serve() {
       std::this_thread::sleep_for(20us);
     }
   }
+}
+
+// ----------------------------------------------------------------- KvStore ----
+
+void KvStore::Put(std::string key, std::string value) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  map_[std::move(key)] = std::move(value);
+}
+
+bool KvStore::Get(const std::string& key, std::string* value) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = map_.find(key);
+  if (it == map_.end()) {
+    return false;
+  }
+  *value = it->second;
+  return true;
+}
+
+// ------------------------------------------------------------- HttpBackend ----
+
+namespace {
+
+class HttpSession : public PollingServer::Session {
+ public:
+  explicit HttpSession(const std::string* response) : response_(response) {}
+
+  Served Serve(BufferChain& rx, std::string* tx) override {
+    Served served;
+    while (parser_.Feed(rx, &request_) == grammar::ParseStatus::kDone) {
+      ++served.requests;
+      *tx += *response_;
+      if (!request_.keep_alive) {
+        served.close = true;
+        break;
+      }
+    }
+    return served;
+  }
+
+ private:
+  const std::string* response_;
+  proto::HttpParser parser_{proto::HttpParser::Mode::kRequest};
+  proto::HttpMessage request_;
+};
+
+}  // namespace
+
+HttpBackend::HttpBackend(Transport* transport, uint16_t port, std::string body)
+    : server_(transport, port, "lb-http-be",
+              [this] { return std::make_unique<HttpSession>(&response_); }) {
+  proto::SerializeResponse(proto::MakeResponse(200, body), &response_);
 }
 
 // -------------------------------------------------------- MemcachedBackend ----
 
-MemcachedBackend::MemcachedBackend(Transport* transport, uint16_t port)
-    : transport_(transport), port_(port) {}
+namespace {
 
-MemcachedBackend::~MemcachedBackend() { Stop(); }
+class MemcachedSession : public PollingServer::Session {
+ public:
+  explicit MemcachedSession(KvStore* store) : store_(store) {}
 
-Status MemcachedBackend::Start() {
-  auto listener = transport_->Listen(port_);
-  if (!listener.ok()) {
-    return listener.status();
-  }
-  listener_ = std::move(listener).value();
-  port_ = listener_->port();
-  running_.store(true);
-  thread_ = std::thread([this] { Serve(); });
-  return OkStatus();
-}
-
-void MemcachedBackend::Stop() {
-  if (running_.exchange(false)) {
-    if (thread_.joinable()) {
-      thread_.join();
-    }
-    listener_->Close();
-  }
-}
-
-void MemcachedBackend::Preload(const std::string& key, const std::string& value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  store_[key] = value;
-}
-
-void MemcachedBackend::Serve() {
-  pthread_setname_np(pthread_self(), "lb-mc-be");
-  BufferPool pool(512, 8192);
-  std::vector<std::unique_ptr<ConnState>> conns;
-  std::vector<std::unique_ptr<grammar::UnitParser>> parsers;
-  // One parse target per connection: the incremental parser resumes into the
-  // SAME message across reads, so the message must live with the parser.
-  std::vector<std::unique_ptr<grammar::Message>> parse_msgs;
-  // Per-connection replies held until their service-delay due time
-  // (set_service_delay_ns). All delays are equal, so due order == insert
-  // order and per-connection FIFO response order is preserved.
-  std::vector<std::deque<std::pair<uint64_t, std::string>>> deferred;
-
-  while (running_.load(std::memory_order_acquire)) {
-    bool did_work = false;
-    while (auto conn = listener_->Accept()) {
-      auto state = std::make_unique<ConnState>();
-      state->conn = std::move(conn);
-      state->rx.set_pool(&pool);
-      conns.push_back(std::move(state));
-      parsers.push_back(std::make_unique<grammar::UnitParser>(&proto::MemcachedUnit()));
-      parse_msgs.push_back(std::make_unique<grammar::Message>());
-      deferred.emplace_back();
-      accepts_.fetch_add(1, std::memory_order_relaxed);
-      did_work = true;
-    }
-    const uint64_t delay_ns = service_delay_ns_.load(std::memory_order_relaxed);
-    for (size_t i = 0; i < conns.size();) {
-      ConnState& state = *conns[i];
-      bool dead = false;
-      // Release deferred replies that have reached their due time.
-      if (!deferred[i].empty()) {
-        const uint64_t now = MonotonicNanos();
-        while (!deferred[i].empty() && deferred[i].front().first <= now) {
-          state.tx += deferred[i].front().second;
-          deferred[i].pop_front();
-          did_work = true;
-        }
-      }
-      if (!FlushTx(state)) {
-        dead = true;
-      }
-      char buf[4096];
-      while (!dead) {
-        auto got = state.conn->Read(buf, sizeof(buf));
-        if (!got.ok()) {
-          dead = true;
-          break;
-        }
-        if (*got == 0) {
-          break;
-        }
-        did_work = true;
-        state.rx.Append(buf, *got);
-        grammar::Message& msg = *parse_msgs[i];
-        while (parsers[i]->Feed(state.rx, &msg) == grammar::ParseStatus::kDone) {
-          requests_.fetch_add(1, std::memory_order_relaxed);
-          proto::MemcachedCommand cmd(&msg);
-          grammar::Message reply;
-          if (cmd.opcode() == proto::kMemcachedSet) {
-            {
-              std::lock_guard<std::mutex> lock(mutex_);
-              store_[std::string(cmd.key())] = std::string(cmd.value());
-            }
-            proto::BuildResponse(&reply, cmd.opcode(), proto::kMemcachedStatusOk, "", "",
-                                 cmd.opaque());
-          } else {
-            std::string value;
-            bool found = false;
-            {
-              std::lock_guard<std::mutex> lock(mutex_);
-              const auto it = store_.find(std::string(cmd.key()));
-              if (it != store_.end()) {
-                value = it->second;
-                found = true;
-              }
-            }
-            const bool echo_key = cmd.opcode() == proto::kMemcachedGetK;
-            proto::BuildResponse(&reply, cmd.opcode(),
-                                 found ? proto::kMemcachedStatusOk
-                                       : proto::kMemcachedStatusKeyNotFound,
-                                 echo_key ? cmd.key() : std::string_view{},
-                                 found ? value : "", cmd.opaque());
-          }
-          if (delay_ns == 0) {
-            state.tx += proto::ToWire(reply);
-          } else {
-            deferred[i].emplace_back(MonotonicNanos() + delay_ns,
-                                     proto::ToWire(reply));
-          }
-        }
-        FlushTx(state);
-      }
-      if (dead) {
-        conns.erase(conns.begin() + static_cast<long>(i));
-        parsers.erase(parsers.begin() + static_cast<long>(i));
-        parse_msgs.erase(parse_msgs.begin() + static_cast<long>(i));
-        deferred.erase(deferred.begin() + static_cast<long>(i));
+  Served Serve(BufferChain& rx, std::string* tx) override {
+    Served served;
+    while (parser_.Feed(rx, &request_) == grammar::ParseStatus::kDone) {
+      ++served.requests;
+      proto::MemcachedCommand cmd(&request_);
+      grammar::Message reply;
+      if (cmd.opcode() == proto::kMemcachedSet) {
+        store_->Put(std::string(cmd.key()), std::string(cmd.value()));
+        proto::BuildResponse(&reply, cmd.opcode(), proto::kMemcachedStatusOk, "", "",
+                             cmd.opaque());
       } else {
-        ++i;
+        std::string value;
+        const bool found = store_->Get(std::string(cmd.key()), &value);
+        const bool echo_key = cmd.opcode() == proto::kMemcachedGetK;
+        proto::BuildResponse(&reply, cmd.opcode(),
+                             found ? proto::kMemcachedStatusOk
+                                   : proto::kMemcachedStatusKeyNotFound,
+                             echo_key ? cmd.key() : std::string_view{}, value,
+                             cmd.opaque());
       }
+      *tx += proto::ToWire(reply);
     }
-    if (!did_work) {
-      std::this_thread::sleep_for(20us);
-    }
+    return served;
   }
-}
+
+ private:
+  KvStore* store_;
+  grammar::UnitParser parser_{&proto::MemcachedUnit()};
+  // The incremental parser resumes into the SAME message across reads.
+  grammar::Message request_;
+};
+
+}  // namespace
+
+MemcachedBackend::MemcachedBackend(Transport* transport, uint16_t port)
+    : server_(transport, port, "lb-mc-be",
+              [this] { return std::make_unique<MemcachedSession>(&store_); }) {}
 
 // ------------------------------------------------------------- RespBackend ----
 
@@ -373,197 +343,74 @@ void AppendRespBulk(std::string* tx, std::string_view data) {
   *tx += "\r\n";
 }
 
+class RespSession : public PollingServer::Session {
+ public:
+  explicit RespSession(KvStore* store) : store_(store) {}
+
+  Served Serve(BufferChain& rx, std::string* tx) override {
+    // The hand parser wants contiguous bytes; RESP framing is cheap to scan.
+    const size_t had = buf_.size();
+    buf_.resize(had + rx.readable());
+    rx.Read(buf_.data() + had, buf_.size() - had);
+    Served served;
+    RespReq req;
+    int parsed;
+    while ((parsed = ParseRespReq(buf_, &req)) == 1) {
+      ++served.requests;
+      if (req.cmd == "SET") {
+        store_->Put(req.key, req.value);
+        AppendRespBulk(tx, "OK");
+      } else if (req.cmd == "GET") {
+        std::string value;  // empty bulk on miss: this subset has no $-1
+        store_->Get(req.key, &value);
+        AppendRespBulk(tx, value);
+      } else {
+        AppendRespBulk(tx, "ERR");
+      }
+    }
+    served.close = parsed < 0;  // malformed frame: drop the connection
+    return served;
+  }
+
+ private:
+  KvStore* store_;
+  std::string buf_;
+};
+
 }  // namespace
 
 RespBackend::RespBackend(Transport* transport, uint16_t port)
-    : transport_(transport), port_(port) {}
-
-RespBackend::~RespBackend() { Stop(); }
-
-Status RespBackend::Start() {
-  auto listener = transport_->Listen(port_);
-  if (!listener.ok()) {
-    return listener.status();
-  }
-  listener_ = std::move(listener).value();
-  port_ = listener_->port();
-  running_.store(true);
-  thread_ = std::thread([this] { Serve(); });
-  return OkStatus();
-}
-
-void RespBackend::Stop() {
-  if (running_.exchange(false)) {
-    if (thread_.joinable()) {
-      thread_.join();
-    }
-    listener_->Close();
-  }
-}
-
-void RespBackend::Preload(const std::string& key, const std::string& value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  store_[key] = value;
-}
-
-void RespBackend::Serve() {
-  pthread_setname_np(pthread_self(), "lb-resp-be");
-  std::vector<std::unique_ptr<ConnState>> conns;
-  // Plain string rx buffers: RESP framing is cheap to scan and the hand
-  // parser wants contiguous bytes.
-  std::vector<std::string> rx;
-
-  while (running_.load(std::memory_order_acquire)) {
-    bool did_work = false;
-    while (auto conn = listener_->Accept()) {
-      auto state = std::make_unique<ConnState>();
-      state->conn = std::move(conn);
-      conns.push_back(std::move(state));
-      rx.emplace_back();
-      accepts_.fetch_add(1, std::memory_order_relaxed);
-      did_work = true;
-    }
-    for (size_t i = 0; i < conns.size();) {
-      ConnState& state = *conns[i];
-      bool dead = false;
-      if (!FlushTx(state)) {
-        dead = true;
-      }
-      char buf[4096];
-      while (!dead) {
-        auto got = state.conn->Read(buf, sizeof(buf));
-        if (!got.ok()) {
-          dead = true;
-          break;
-        }
-        if (*got == 0) {
-          break;
-        }
-        did_work = true;
-        rx[i].append(buf, *got);
-        RespReq req;
-        int parsed;
-        while ((parsed = ParseRespReq(rx[i], &req)) == 1) {
-          requests_.fetch_add(1, std::memory_order_relaxed);
-          if (req.cmd == "SET") {
-            {
-              std::lock_guard<std::mutex> lock(mutex_);
-              store_[req.key] = req.value;
-            }
-            AppendRespBulk(&state.tx, "OK");
-          } else if (req.cmd == "GET") {
-            std::string value;  // empty bulk on miss: this subset has no $-1
-            {
-              std::lock_guard<std::mutex> lock(mutex_);
-              const auto it = store_.find(req.key);
-              if (it != store_.end()) {
-                value = it->second;
-              }
-            }
-            AppendRespBulk(&state.tx, value);
-          } else {
-            AppendRespBulk(&state.tx, "ERR");
-          }
-        }
-        if (parsed < 0) {
-          dead = true;  // malformed frame: drop the connection
-          break;
-        }
-        FlushTx(state);
-      }
-      if (dead) {
-        conns.erase(conns.begin() + static_cast<long>(i));
-        rx.erase(rx.begin() + static_cast<long>(i));
-      } else {
-        ++i;
-      }
-    }
-    if (!did_work) {
-      std::this_thread::sleep_for(20us);
-    }
-  }
-}
+    : server_(transport, port, "lb-resp-be",
+              [this] { return std::make_unique<RespSession>(&store_); }) {}
 
 // ------------------------------------------------------------- ReducerSink ----
 
+namespace {
+
+class ReducerSession : public PollingServer::Session {
+ public:
+  explicit ReducerSession(std::atomic<uint64_t>* counts) : counts_(counts) {}
+
+  Served Serve(BufferChain& rx, std::string*) override {
+    Served served;
+    while (parser_.Feed(rx, &pair_) == grammar::ParseStatus::kDone) {
+      ++served.requests;
+      counts_->fetch_add(proto::ParseCount(proto::HadoopKv(&pair_).value()),
+                         std::memory_order_relaxed);
+    }
+    return served;
+  }
+
+ private:
+  std::atomic<uint64_t>* counts_;
+  grammar::UnitParser parser_{&proto::HadoopKvUnit()};
+  grammar::Message pair_;  // resume target
+};
+
+}  // namespace
+
 ReducerSink::ReducerSink(Transport* transport, uint16_t port)
-    : transport_(transport), port_(port) {}
-
-ReducerSink::~ReducerSink() { Stop(); }
-
-Status ReducerSink::Start() {
-  auto listener = transport_->Listen(port_);
-  if (!listener.ok()) {
-    return listener.status();
-  }
-  listener_ = std::move(listener).value();
-  port_ = listener_->port();
-  running_.store(true);
-  thread_ = std::thread([this] { Serve(); });
-  return OkStatus();
-}
-
-void ReducerSink::Stop() {
-  if (running_.exchange(false)) {
-    if (thread_.joinable()) {
-      thread_.join();
-    }
-    listener_->Close();
-  }
-}
-
-void ReducerSink::Serve() {
-  pthread_setname_np(pthread_self(), "lb-red-be");
-  BufferPool pool(512, 16 * 1024);
-  std::vector<std::unique_ptr<ConnState>> conns;
-  std::vector<std::unique_ptr<grammar::UnitParser>> parsers;
-  std::vector<std::unique_ptr<grammar::Message>> parse_msgs;  // resume targets
-  while (running_.load(std::memory_order_acquire)) {
-    bool did_work = false;
-    while (auto conn = listener_->Accept()) {
-      auto state = std::make_unique<ConnState>();
-      state->conn = std::move(conn);
-      state->rx.set_pool(&pool);
-      conns.push_back(std::move(state));
-      parsers.push_back(std::make_unique<grammar::UnitParser>(&proto::HadoopKvUnit()));
-      parse_msgs.push_back(std::make_unique<grammar::Message>());
-      did_work = true;
-    }
-    for (size_t i = 0; i < conns.size();) {
-      ConnState& state = *conns[i];
-      bool dead = false;
-      char buf[8192];
-      while (true) {
-        auto got = state.conn->Read(buf, sizeof(buf));
-        if (!got.ok()) {
-          dead = true;
-          break;
-        }
-        if (*got == 0) {
-          break;
-        }
-        did_work = true;
-        bytes_.fetch_add(*got, std::memory_order_relaxed);
-        state.rx.Append(buf, *got);
-        while (parsers[i]->Feed(state.rx, parse_msgs[i].get()) ==
-               grammar::ParseStatus::kDone) {
-          counts_.fetch_add(proto::ParseCount(proto::HadoopKv(parse_msgs[i].get()).value()),
-                            std::memory_order_relaxed);
-          pairs_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      if (dead) {
-        conns.erase(conns.begin() + static_cast<long>(i));
-        parsers.erase(parsers.begin() + static_cast<long>(i));
-        parse_msgs.erase(parse_msgs.begin() + static_cast<long>(i));
-      } else {
-        ++i;
-      }
-    }
-    if (!did_work) {
-      std::this_thread::sleep_for(20us);
-    }
-  }
-}
+    : server_(transport, port, "lb-red-be",
+              [this] { return std::make_unique<ReducerSession>(&counts_); }) {}
 
 }  // namespace flick::load

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 
-#include "load/http_load.h"  // LoadResult
 #include "net/transport.h"
 
 namespace flick::load {

@@ -9,9 +9,8 @@
 
 #include "baseline/baseline_proxies.h"
 #include "load/backends.h"
-#include "load/http_load.h"
+#include "load/load_engine.h"
 #include "load/mapper_load.h"
-#include "load/memcached_load.h"
 #include "net/sim_transport.h"
 #include "proto/memcached.h"
 #include "runtime/platform.h"
@@ -65,13 +64,13 @@ TEST_F(ServiceTest, StaticHttpServesFixedResponse) {
   platform.Start();
   ScopedPlatformStop stop_guard(platform);
 
-  load::HttpLoadConfig cfg;
+  load::LoadConfig cfg;
   cfg.port = 80;
-  cfg.concurrency = 8;
+  cfg.connections = 8;
   cfg.threads = 1;
   cfg.duration_ns = 200'000'000;
-  const load::LoadResult result = load::RunHttpLoad(&transport_, cfg);
-  EXPECT_GT(result.requests, 50u);
+  const load::LoadResult result = load::RunLoad(&transport_, cfg);
+  EXPECT_GT(result.completed, 50u);
   EXPECT_EQ(result.errors, 0u);
   EXPECT_GT(service.requests(), 0u);
   platform.Stop();
@@ -84,14 +83,14 @@ TEST_F(ServiceTest, StaticHttpNonPersistentConnections) {
   platform.Start();
   ScopedPlatformStop stop_guard(platform);
 
-  load::HttpLoadConfig cfg;
+  load::LoadConfig cfg;
   cfg.port = 80;
-  cfg.concurrency = 8;
+  cfg.connections = 8;
   cfg.threads = 1;
   cfg.persistent = false;
   cfg.duration_ns = 200'000'000;
-  const load::LoadResult result = load::RunHttpLoad(&transport_, cfg);
-  EXPECT_GT(result.requests, 20u);
+  const load::LoadResult result = load::RunLoad(&transport_, cfg);
+  EXPECT_GT(result.completed, 20u);
   // Retirement runs on poller sweeps, so give the reaper a bounded window to
   // catch up with the final burst of closes before stopping the platform.
   EXPECT_TRUE(WaitFor([&] { return service.live_graphs() <= 8; }))
@@ -117,13 +116,13 @@ TEST_F(ServiceTest, HttpLbBalancesAcrossBackends) {
   platform.Start();
   ScopedPlatformStop stop_guard(platform);
 
-  load::HttpLoadConfig cfg;
+  load::LoadConfig cfg;
   cfg.port = 80;
-  cfg.concurrency = 16;
+  cfg.connections = 16;
   cfg.threads = 2;
   cfg.duration_ns = 300'000'000;
-  const load::LoadResult result = load::RunHttpLoad(&transport_, cfg);
-  EXPECT_GT(result.requests, 100u);
+  const load::LoadResult result = load::RunLoad(&transport_, cfg);
+  EXPECT_GT(result.completed, 100u);
   EXPECT_EQ(result.errors, 0u);
 
   // With 16 connections and id-hash selection, several backends see traffic.
@@ -147,14 +146,14 @@ TEST_F(ServiceTest, HttpLbNonPersistentMode) {
   platform.Start();
   ScopedPlatformStop stop_guard(platform);
 
-  load::HttpLoadConfig cfg;
+  load::LoadConfig cfg;
   cfg.port = 80;
-  cfg.concurrency = 4;
+  cfg.connections = 4;
   cfg.threads = 1;
   cfg.persistent = false;
   cfg.duration_ns = 200'000'000;
-  const load::LoadResult result = load::RunHttpLoad(&transport_, cfg);
-  EXPECT_GT(result.requests, 10u);
+  const load::LoadResult result = load::RunLoad(&transport_, cfg);
+  EXPECT_GT(result.completed, 10u);
   platform.Stop();
   backend.Stop();
 }
@@ -301,14 +300,15 @@ TEST_F(MemcachedProxyTest, SustainedClosedLoopLoad) {
   platform.Start();
   ScopedPlatformStop stop_guard(platform);
 
-  load::MemcachedLoadConfig cfg;
+  load::LoadConfig cfg;
+  cfg.protocol = load::Protocol::kMemcached;
   cfg.port = 11211;
-  cfg.clients = 16;
+  cfg.connections = 16;
   cfg.threads = 2;
   cfg.opcode = proto::kMemcachedGet;
   cfg.duration_ns = 300'000'000;
-  const load::LoadResult result = load::RunMemcachedLoad(&transport_, cfg);
-  EXPECT_GT(result.requests, 100u);
+  const load::LoadResult result = load::RunLoad(&transport_, cfg);
+  EXPECT_GT(result.completed, 100u);
   EXPECT_EQ(result.errors, 0u);
   platform.Stop();
   for (auto& b : backends_) {
@@ -622,13 +622,13 @@ TEST_F(ServiceTest, ThreadedProxyStaticMode) {
   baseline::ThreadedProxy proxy(&transport_, cfg);
   ASSERT_TRUE(proxy.Start().ok());
 
-  load::HttpLoadConfig load_cfg;
+  load::LoadConfig load_cfg;
   load_cfg.port = 80;
-  load_cfg.concurrency = 4;
+  load_cfg.connections = 4;
   load_cfg.threads = 1;
   load_cfg.duration_ns = 200'000'000;
-  const load::LoadResult result = load::RunHttpLoad(&transport_, load_cfg);
-  EXPECT_GT(result.requests, 20u);
+  const load::LoadResult result = load::RunLoad(&transport_, load_cfg);
+  EXPECT_GT(result.completed, 20u);
   proxy.Stop();
 }
 
@@ -642,13 +642,13 @@ TEST_F(ServiceTest, ThreadedProxyForwardsToBackends) {
   baseline::ThreadedProxy proxy(&transport_, cfg);
   ASSERT_TRUE(proxy.Start().ok());
 
-  load::HttpLoadConfig load_cfg;
+  load::LoadConfig load_cfg;
   load_cfg.port = 80;
-  load_cfg.concurrency = 2;
+  load_cfg.connections = 2;
   load_cfg.threads = 1;
   load_cfg.duration_ns = 200'000'000;
-  const load::LoadResult result = load::RunHttpLoad(&transport_, load_cfg);
-  EXPECT_GT(result.requests, 10u);
+  const load::LoadResult result = load::RunLoad(&transport_, load_cfg);
+  EXPECT_GT(result.completed, 10u);
   EXPECT_GT(backend.requests_served(), 0u);
   proxy.Stop();
   backend.Stop();
@@ -662,13 +662,13 @@ TEST_F(ServiceTest, EventProxyStaticMode) {
   baseline::EventProxy proxy(&transport_, cfg);
   ASSERT_TRUE(proxy.Start().ok());
 
-  load::HttpLoadConfig load_cfg;
+  load::LoadConfig load_cfg;
   load_cfg.port = 80;
-  load_cfg.concurrency = 8;
+  load_cfg.connections = 8;
   load_cfg.threads = 1;
   load_cfg.duration_ns = 200'000'000;
-  const load::LoadResult result = load::RunHttpLoad(&transport_, load_cfg);
-  EXPECT_GT(result.requests, 50u);
+  const load::LoadResult result = load::RunLoad(&transport_, load_cfg);
+  EXPECT_GT(result.completed, 50u);
   proxy.Stop();
 }
 
@@ -691,15 +691,16 @@ TEST_F(ServiceTest, MoxiProxyRoutesRequests) {
   baseline::MoxiProxy proxy(&transport_, cfg);
   ASSERT_TRUE(proxy.Start().ok());
 
-  load::MemcachedLoadConfig load_cfg;
+  load::LoadConfig load_cfg;
+  load_cfg.protocol = load::Protocol::kMemcached;
   load_cfg.port = 11211;
-  load_cfg.clients = 8;
+  load_cfg.connections = 8;
   load_cfg.threads = 1;
   load_cfg.key_space = 100;
   load_cfg.opcode = proto::kMemcachedGet;
   load_cfg.duration_ns = 200'000'000;
-  const load::LoadResult result = load::RunMemcachedLoad(&transport_, load_cfg);
-  EXPECT_GT(result.requests, 20u);
+  const load::LoadResult result = load::RunLoad(&transport_, load_cfg);
+  EXPECT_GT(result.completed, 20u);
   EXPECT_EQ(result.errors, 0u);
   proxy.Stop();
   for (auto& b : backends) {
