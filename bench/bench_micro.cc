@@ -100,25 +100,58 @@ void BM_ParseHttpRequest(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseHttpRequest);
 
-// ----------------------------------------------------------- hadoop parsing ----
+// ----------------------------------------------------------- stream parsing ----
+//
+// Arg = rx buffer bytes. 65536 holds the whole stream in one buffer, so every
+// record takes the parser's one-pass path; 8 is smaller than any record, so
+// every record straddles buffers and takes the incremental path.
+
+void ParseStream(benchmark::State& state, const grammar::Unit& unit, const std::string& wire,
+                 size_t records) {
+  const size_t buffer_bytes = static_cast<size_t>(state.range(0));
+  BufferPool pool(wire.size() / buffer_bytes + 4, buffer_bytes);
+  grammar::UnitParser parser(&unit);
+  grammar::Message msg;
+  for (auto _ : state) {
+    BufferChain input(&pool);
+    input.Append(wire);
+    while (parser.Feed(input, &msg) == grammar::ParseStatus::kDone) {
+      benchmark::DoNotOptimize(msg.nums().data());
+    }
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * wire.size()));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * records));
+}
 
 void BM_ParseHadoopStream(benchmark::State& state) {
   std::string wire;
   for (int i = 0; i < 64; ++i) {
     proto::EncodeKv("word-" + std::to_string(i % 10), "1", &wire);
   }
-  BufferPool pool(64, 64 * 1024);
-  grammar::UnitParser parser(&proto::HadoopKvUnit());
-  grammar::Message msg;
-  for (auto _ : state) {
-    BufferChain input(&pool);
-    input.Append(wire);
-    while (parser.Feed(input, &msg) == grammar::ParseStatus::kDone) {
-    }
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * wire.size()));
+  ParseStream(state, proto::HadoopKvUnit(), wire, 64);
 }
-BENCHMARK(BM_ParseHadoopStream);
+BENCHMARK(BM_ParseHadoopStream)->Arg(64 * 1024)->Arg(8);
+
+// RESP bulk strings, `$<len>\r\n<data>\r\n`: an ascii length field.
+void BM_ParseRespBulk(benchmark::State& state) {
+  static const grammar::Unit* unit = [] {
+    auto built = grammar::UnitBuilder("bulk")
+                     .Bytes("marker", 1)
+                     .AsciiUInt("len")
+                     .Bytes("data", grammar::LenExpr::Field("len"))
+                     .Bytes("crlf", 2)
+                     .Build();
+    FLICK_CHECK(built.ok());
+    return new grammar::Unit(std::move(built).value());
+  }();
+  std::string wire;
+  for (int i = 0; i < 64; ++i) {
+    const std::string data = "value-" + std::to_string(i * 37);
+    wire += "$" + std::to_string(data.size()) + "\r\n" + data + "\r\n";
+  }
+  ParseStream(state, *unit, wire, 64);
+}
+BENCHMARK(BM_ParseRespBulk)->Arg(64 * 1024)->Arg(8);
 
 // -------------------------------------------------------------- buffer pool ----
 

@@ -58,7 +58,7 @@ size_t BufferChain::Peek(size_t offset, void* out, size_t size) const {
   return copied;
 }
 
-void BufferChain::Consume(size_t n) {
+void BufferChain::ConsumeAcross(size_t n) {
   FLICK_CHECK(n <= readable_);
   readable_ -= n;
   while (n > 0) {

@@ -39,7 +39,15 @@ class BufferChain {
   size_t Peek(size_t offset, void* out, size_t size) const;
 
   // Consumes (discards) `n` readable bytes. n <= readable().
-  void Consume(size_t n);
+  void Consume(size_t n) {
+    // Fast path: `n` ends inside the front buffer, which stays in the chain.
+    if (first_ < buffers_.size() && n < buffers_[first_]->readable()) {
+      buffers_[first_]->Consume(n);
+      readable_ -= n;
+      return;
+    }
+    ConsumeAcross(n);
+  }
 
   // Copies and consumes up to `size` bytes into `out`; returns bytes read.
   size_t Read(void* out, size_t size);
@@ -92,6 +100,8 @@ class BufferChain {
   void Clear();
 
  private:
+  // Consume's general case: drains and releases front buffers.
+  void ConsumeAcross(size_t n);
   void Compact();
 
   BufferPool* pool_ = nullptr;

@@ -18,7 +18,9 @@ class SpscByteRing {
       cap <<= 1;
     }
     mask_ = cap - 1;
-    data_ = std::make_unique<uint8_t[]>(cap);
+    // Raw storage: every byte is written before it is read, and zero-filling
+    // a default 256 KiB ring per direction dominated a sim dial.
+    data_ = std::make_unique_for_overwrite<uint8_t[]>(cap);
   }
 
   SpscByteRing(const SpscByteRing&) = delete;

@@ -8,6 +8,7 @@
 #ifndef FLICK_GRAMMAR_MESSAGE_H_
 #define FLICK_GRAMMAR_MESSAGE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -30,11 +31,18 @@ class Message {
 
   const Unit* unit() const { return unit_; }
 
+  // Clears every field in place; sizes the field vectors only when the
+  // unit's field count differs from theirs.
   void Reset() {
     FLICK_DCHECK(unit_ != nullptr);
     const size_t n = unit_->fields().size();
-    nums_.assign(n, 0);
-    spans_.assign(n, Span{});
+    if (nums_.size() == n) {
+      std::fill(nums_.begin(), nums_.end(), 0);
+      std::fill(spans_.begin(), spans_.end(), Span{});
+    } else {
+      nums_.assign(n, 0);
+      spans_.assign(n, Span{});
+    }
     arena_.clear();
   }
 
@@ -94,6 +102,38 @@ class Message {
   }
   void SetBytes(const std::string& name, std::string_view data) {
     SetBytes(MustIndex(name), data);
+  }
+
+  // --- parser-side whole-message fill ---------------------------------------
+  // UnitParser's one-pass path writes every field exactly once, so it skips
+  // Reset's clearing pass: BeginFill binds `unit` and empties the arena, and
+  // each Fill call sets its field's number and span outright, leaving what
+  // Reset plus the incremental path's writes would.
+  void BeginFill(const Unit* unit) {
+    unit_ = unit;
+    const size_t n = unit_->fields().size();
+    if (nums_.size() != n) {
+      nums_.resize(n);
+      spans_.resize(n);
+    }
+    arena_.clear();
+  }
+  void FillUInt(int index, uint64_t value) {
+    FLICK_DCHECK(InRange(index));
+    nums_[static_cast<size_t>(index)] = value;
+    spans_[static_cast<size_t>(index)] = Span{};
+  }
+  void FillBytes(int index, const uint8_t* data, size_t n, bool materialize) {
+    FLICK_DCHECK(InRange(index));
+    nums_[static_cast<size_t>(index)] = 0;
+    Span& s = spans_[static_cast<size_t>(index)];
+    s.offset = arena_.size();
+    s.wire_size = n;
+    s.capacity = materialize ? n : 0;
+    s.materialized_size = s.capacity;
+    if (materialize) {
+      arena_.append(reinterpret_cast<const char*>(data), n);
+    }
   }
 
   // --- parser-side incremental append --------------------------------------

@@ -13,10 +13,76 @@ void UnitParser::Reset() {
   ascii_seen_cr_ = false;
 }
 
+bool UnitParser::ParseWhole(std::string_view view, BufferChain& input, Message* out) {
+  const auto* wire = reinterpret_cast<const uint8_t*>(view.data());
+  const size_t end = view.size();
+  const std::vector<FieldSpec>& fields = unit_->fields();
+  const std::vector<ParseStep>& plan = unit_->parse_plan();
+  out->BeginFill(unit_);
+  size_t pos = 0;
+  for (size_t i = 0; i < plan.size(); ++i) {
+    const ParseStep& step = plan[i];
+    const int index = static_cast<int>(i);
+    uint64_t size = 0;
+    switch (step.op) {
+      case ParseStep::Op::kVar:
+        out->FillUInt(index, fields[i].parse_expr.Eval(out->nums()));
+        continue;
+      case ParseStep::Op::kUInt:
+        if (step.arg > max_field_size_ || end - pos < step.arg) {
+          return false;
+        }
+        out->FillUInt(index, LoadUInt(wire + pos, step.arg, unit_->byte_order()));
+        pos += step.arg;
+        continue;
+      case ParseStep::Op::kAsciiUInt: {
+        // The incremental path's guards: 1..19 digits, then exactly CRLF.
+        uint64_t value = 0;
+        size_t digits = 0;
+        while (pos + digits < end && wire[pos + digits] >= '0' && wire[pos + digits] <= '9') {
+          if (++digits > 19) {
+            return false;
+          }
+          value = value * 10 + (wire[pos + digits - 1] - '0');
+        }
+        if (digits == 0 || end - pos - digits < 2 || wire[pos + digits] != '\r' ||
+            wire[pos + digits + 1] != '\n') {
+          return false;
+        }
+        out->FillUInt(index, value);
+        pos += digits + 2;
+        continue;
+      }
+      case ParseStep::Op::kConstBytes:
+        size = step.arg;
+        break;
+      case ParseStep::Op::kFieldBytes:
+        size = out->GetUInt(static_cast<int>(step.arg));
+        break;
+      case ParseStep::Op::kExprBytes:
+        size = fields[i].length.Eval(out->nums());
+        break;
+    }
+    if (size > max_field_size_ || end - pos < size) {
+      return false;
+    }
+    out->FillBytes(index, wire + pos, size, step.materialize);
+    pos += size;
+  }
+  input.Consume(pos);
+  out->set_wire_size(pos);
+  return true;
+}
+
 ParseStatus UnitParser::Feed(BufferChain& input, Message* out) {
   FLICK_CHECK(out != nullptr);
   if (field_index_ == 0 && field_consumed_ == 0 && !field_started_) {
-    // Fresh message: bind (or re-bind) the output.
+    const std::string_view front = input.FrontView();
+    if (!front.empty() && ParseWhole(front, input, out)) {
+      return ParseStatus::kDone;
+    }
+    // Fresh message on the incremental path: bind (or re-bind) the output,
+    // clearing whatever a failed one-pass attempt wrote.
     if (out->unit() != unit_) {
       out->BindUnit(unit_);
     } else {

@@ -5,10 +5,18 @@
 // runs dry mid-message, the parser keeps its position (current field, bytes
 // consumed within it) and resumes on the next Feed — input tasks call it once
 // per network read with whatever fragment arrived.
+//
+// At a message boundary Feed first tries the whole message in one pass: it
+// walks the unit's parse plan over the chain's front buffer, and when that
+// buffer holds the entire message it fills the Message and consumes once.
+// Anything else (a message straddling buffers, a short chain, malformed
+// bytes) goes to the field-at-a-time incremental path, which defines the
+// semantics; the one-pass path commits only messages it parses cleanly.
 #ifndef FLICK_GRAMMAR_PARSER_H_
 #define FLICK_GRAMMAR_PARSER_H_
 
 #include <cstdint>
+#include <string_view>
 
 #include "buffer/buffer_chain.h"
 #include "grammar/message.h"
@@ -43,6 +51,11 @@ class UnitParser {
   void set_max_field_size(size_t n) { max_field_size_ = n; }
 
  private:
+  // The one-pass path: true when `view` (the front of `input`) held the
+  // whole message and `out` was filled from it; false leaves `input`
+  // untouched and `out` partly written.
+  bool ParseWhole(std::string_view view, BufferChain& input, Message* out);
+
   const Unit* unit_;
   size_t field_index_ = 0;     // current field
   size_t field_consumed_ = 0;  // bytes of current field consumed so far

@@ -147,8 +147,33 @@ Result<Unit> UnitBuilder::Build() {
     }
   }
   unit.fixed_prefix_size_ = prefix;
+  unit.BuildPlan();
 
   return unit;
+}
+
+void Unit::BuildPlan() {
+  plan_.clear();
+  plan_.reserve(fields_.size());
+  for (const FieldSpec& f : fields_) {
+    ParseStep step;
+    step.materialize = f.materialize;
+    if (f.kind == FieldKind::kVar) {
+      step.op = ParseStep::Op::kVar;
+    } else if (f.kind == FieldKind::kUInt) {
+      step.op = f.ascii ? ParseStep::Op::kAsciiUInt : ParseStep::Op::kUInt;
+      step.arg = f.fixed_size;
+    } else if (f.length.is_const()) {
+      step.op = ParseStep::Op::kConstBytes;
+      step.arg = f.length.const_value();
+    } else if (f.length.is_single_field()) {
+      step.op = ParseStep::Op::kFieldBytes;
+      step.arg = static_cast<uint64_t>(f.length.single_field_index());
+    } else {
+      step.op = ParseStep::Op::kExprBytes;
+    }
+    plan_.push_back(step);
+  }
 }
 
 int Unit::FieldIndex(const std::string& name) const {
@@ -183,6 +208,7 @@ Unit Unit::Project(const std::vector<std::string>& accessed) const {
       f.materialize = false;
     }
   }
+  projected.BuildPlan();
   return projected;
 }
 

@@ -55,6 +55,24 @@ struct FieldSpec {
   bool materialize = true;
 };
 
+// One row of a unit's parse plan: what the whole-message parse does for the
+// field at the same index. Built once per Unit (Build and Project), so the
+// per-message walk branches on one op and reads lengths without walking a
+// LenExpr tree in the common cases.
+struct ParseStep {
+  enum class Op : uint8_t {
+    kUInt,        // fixed-width integer; `arg` = width
+    kAsciiUInt,   // decimal digits + CRLF
+    kConstBytes,  // bytes of constant length; `arg` = length
+    kFieldBytes,  // bytes sized by one earlier field; `arg` = its index
+    kExprBytes,   // bytes sized by a compound LenExpr (FieldSpec::length)
+    kVar,         // no wire bytes; FieldSpec::parse_expr
+  };
+  Op op = Op::kVar;
+  bool materialize = true;
+  uint64_t arg = 0;
+};
+
 class Unit;
 
 class UnitBuilder {
@@ -117,13 +135,19 @@ class Unit {
   // feeding their lengths) are materialised.
   Unit Project(const std::vector<std::string>& accessed) const;
 
+  // One step per field, in field order (UnitParser's whole-message path).
+  const std::vector<ParseStep>& parse_plan() const { return plan_; }
+
  private:
   friend class UnitBuilder;
+
+  void BuildPlan();
 
   std::string name_;
   flick::ByteOrder byte_order_ = flick::ByteOrder::kBig;
   std::vector<FieldSpec> fields_;
   size_t fixed_prefix_size_ = 0;
+  std::vector<ParseStep> plan_;
 };
 
 }  // namespace flick::grammar

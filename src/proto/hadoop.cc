@@ -1,5 +1,7 @@
 #include "proto/hadoop.h"
 
+#include <charconv>
+
 #include "base/byte_order.h"
 
 namespace flick::proto {
@@ -52,8 +54,13 @@ uint64_t ParseCount(std::string_view value) {
   return n;
 }
 
-std::string CombineCounts(std::string_view v1, std::string_view v2) {
-  return std::to_string(ParseCount(v1) + ParseCount(v2));
+CountText CombineCounts(std::string_view v1, std::string_view v2) {
+  CountText out;
+  const auto end =
+      std::to_chars(out.digits, out.digits + sizeof(out.digits), ParseCount(v1) + ParseCount(v2))
+          .ptr;
+  out.size = static_cast<uint8_t>(end - out.digits);
+  return out;
 }
 
 }  // namespace flick::proto

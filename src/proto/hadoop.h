@@ -45,8 +45,16 @@ void EncodeKv(std::string_view key, std::string_view value, std::string* out);
 // A wordcount value: the decimal count it carries.
 uint64_t ParseCount(std::string_view value);
 
-// Wordcount combine: decimal-add two values (Listing 3's `combine`).
-std::string CombineCounts(std::string_view v1, std::string_view v2);
+// A decimal count formatted in place (room for any uint64_t).
+struct CountText {
+  char digits[20] = {};
+  uint8_t size = 0;
+  std::string_view view() const { return {digits, size}; }
+};
+
+// Wordcount combine: decimal-add two values (Listing 3's `combine`), with no
+// heap string: write the result with Message::SetBytes(index, sum.view()).
+CountText CombineCounts(std::string_view v1, std::string_view v2);
 
 }  // namespace flick::proto
 

@@ -23,7 +23,7 @@ TaskRunResult ComputeTask::Run(TaskContext& ctx) {
     if (msg) {
       if (handler_(*msg, input_index, emit) == HandleResult::kConsumed) {
         idle_streak = 0;
-        messages_handled_.fetch_add(1, std::memory_order_relaxed);
+        BumpOwned(messages_handled_);
         ctx.ItemDone();
         if (ctx.ShouldYield()) {
           return TaskRunResult::kMoreWork;

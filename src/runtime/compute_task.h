@@ -117,7 +117,8 @@ class ComputeTask : public Task {
   std::vector<Channel*> outputs_;
   std::vector<MsgRef> stalled_;  // per input: message whose handling blocked
   size_t next_input_ = 0;    // round-robin drain position
-  std::atomic<uint64_t> messages_handled_{0};  // read off-thread by tests/stats
+  // Read off-thread by tests/stats; written only by Run.
+  std::atomic<uint64_t> messages_handled_{0};
 };
 
 // foldt (§4.3): merges two key-ordered input streams, combining values of

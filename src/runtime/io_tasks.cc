@@ -24,7 +24,7 @@ bool InputTask::FlushPending() {
     if (!out_->TryPush(std::move(pending_))) {
       return false;
     }
-    messages_out_.fetch_add(1, std::memory_order_relaxed);
+    BumpOwned(messages_out_);
   }
   return true;
 }
@@ -216,7 +216,7 @@ InputTask::ParseOutcome InputTask::ParseBuffered(TaskContext& ctx) {
       EmitEof();
       return ParseOutcome::kIdle;
     }
-    messages_in_.fetch_add(1, std::memory_order_relaxed);
+    BumpOwned(messages_in_);
     if (!fold_.active()) {
       pending_ = std::move(parse_msg_);
     } else if (fold_.Fold(parse_msg_, &pending_)) {
@@ -290,7 +290,7 @@ TaskRunResult OutputTask::Run(TaskContext& ctx) {
         // than silently dropping bytes mid-stream.
         return CloseFatal();
       }
-      messages_out_.fetch_add(1, std::memory_order_relaxed);
+      BumpOwned(messages_out_);
       ++msgs_since_flush_;
       ctx.ItemDone();
       if (flush_watermark_ > 0 && tx_.readable() >= flush_watermark_) {

@@ -238,7 +238,8 @@ class OutputTask : public IoTask {
   BufferChain tx_;
   bool close_on_eof_ = true;
   bool eof_received_ = false;
-  std::atomic<uint64_t> messages_out_{0};  // read off-thread by tests/stats
+  // Read off-thread by tests/stats; written only by Run.
+  std::atomic<uint64_t> messages_out_{0};
   size_t flush_watermark_ = kDefaultFlushWatermark;
   uint64_t msgs_since_flush_ = 0;
   WriteBatchCounters batch_;

@@ -117,6 +117,14 @@ class ScopedWorkerIndex {
   const WorkerIdentity saved_;
 };
 
+// Bumps a counter that only its task's Run writes. The scheduler never runs
+// one task on two workers at once and orders one run before the next, so a
+// relaxed load and store does what a fetch_add would without its locked
+// read-modify-write per message. Off-thread readers keep relaxed loads.
+inline void BumpOwned(std::atomic<uint64_t>& counter) {
+  counter.store(counter.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
 class Task {
  public:
   explicit Task(std::string name)

@@ -14,10 +14,10 @@ int OrderByKey(const runtime::Msg& a, const runtime::Msg& b) {
 }
 
 void CombineByAdding(runtime::Msg& into, const runtime::Msg& from) {
-  const std::string combined =
+  const proto::CountText sum =
       proto::CombineCounts(into.gmsg.GetBytes(proto::HadoopKv::kValue),
                            from.gmsg.GetBytes(proto::HadoopKv::kValue));
-  into.gmsg.SetBytes(proto::HadoopKv::kValue, combined);
+  into.gmsg.SetBytes(proto::HadoopKv::kValue, sum.view());
 }
 
 }  // namespace

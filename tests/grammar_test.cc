@@ -3,7 +3,10 @@
 // and serialisation round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "base/rng.h"
 #include "buffer/buffer_chain.h"
@@ -13,6 +16,10 @@
 #include "grammar/parser.h"
 #include "grammar/serializer.h"
 #include "grammar/unit.h"
+#include "lang/compile.h"
+#include "proto/hadoop.h"
+#include "proto/memcached.h"
+#include "services/dsl_service.h"
 
 namespace flick::grammar {
 namespace {
@@ -301,6 +308,40 @@ TEST(ProjectionTest, LengthDrivingFieldsAreKept) {
   EXPECT_EQ(projected.fields()[1].materialize, false);
 }
 
+// The parse plan carries the projection: a whole message parsed in one pass
+// through the routing unit frames every field but copies only the key.
+TEST(ProjectionTest, PlanSkipsUnmaterialisedBytes) {
+  const Unit& routing = proto::MemcachedRoutingUnit();
+  const int extras = routing.FieldIndex("extras");
+  const int key = routing.FieldIndex("key");
+  const int value = routing.FieldIndex("value");
+  const std::vector<ParseStep>& plan = routing.parse_plan();
+  ASSERT_EQ(plan.size(), routing.fields().size());
+  EXPECT_EQ(plan[static_cast<size_t>(key)].op, ParseStep::Op::kFieldBytes);
+  EXPECT_TRUE(plan[static_cast<size_t>(key)].materialize);
+  EXPECT_FALSE(plan[static_cast<size_t>(extras)].materialize);
+  EXPECT_FALSE(plan[static_cast<size_t>(value)].materialize);
+  EXPECT_TRUE(proto::MemcachedUnit().parse_plan()[static_cast<size_t>(value)].materialize);
+
+  Message request;
+  proto::BuildRequest(&request, 0x01, "routed-key", "a-value-the-router-never-reads", 7);
+  BufferPool pool(4, 4096);
+  BufferChain input(&pool);
+  ASSERT_TRUE(UnitSerializer(&proto::MemcachedUnit()).Serialize(request, input).ok());
+  const size_t wire = input.readable();
+  ASSERT_EQ(input.FrontView().size(), wire) << "one buffer: the one-pass path";
+
+  UnitParser parser(&routing);
+  Message msg;
+  ASSERT_EQ(parser.Feed(input, &msg), ParseStatus::kDone);
+  EXPECT_TRUE(input.empty());
+  EXPECT_EQ(msg.wire_size(), wire);
+  EXPECT_EQ(msg.GetBytes(key), "routed-key");
+  EXPECT_EQ(msg.GetBytes(value), "");
+  EXPECT_EQ(msg.FieldWireSize(value), 30u);
+  EXPECT_EQ(msg.arena_bytes(), 10u) << "only the key reaches the arena";
+}
+
 // ----------------------------------------------------------- Serialisation ----
 
 TEST_F(ParserTest, SerializeRoundTrip) {
@@ -521,6 +562,252 @@ TEST_F(AsciiParserTest, SerializeRecomputesDigitRun) {
   ASSERT_EQ(parser.Feed(out, &parsed), ParseStatus::kDone);
   EXPECT_EQ(parsed.GetUInt("len"), 10u);
   EXPECT_EQ(parsed.GetBytes("data"), "abcdefghij");
+}
+
+// ------------------------------------------------- One pass vs incremental ----
+// Feed takes the whole-message path when the chain's front buffer holds the
+// entire message and the incremental path otherwise; chunking alone picks
+// which. Every built-in unit is fed random streams three ways (one large
+// buffer, buffers smaller than any message, random chunks over mid-size
+// buffers), and all three must report the same outcomes.
+
+// How a generated message is broken.
+enum class Defect {
+  kNone,
+  kOversize,     // a length-driving field exceeds the parser's max_field_size
+  kNonDigit,     // ascii field: a letter in the digit run
+  kEmptyDigits,  // ascii field: CRLF with no digits
+  kBareCr,       // ascii field: CR not followed by LF
+  kTwentyDigits  // ascii field: past the 19-digit guard
+};
+
+constexpr size_t kMaxFieldSize = 64;
+
+// Appends one random message of `unit` to `wire`. Fields that drive a length
+// get small values, so valid messages stay under kMaxFieldSize. A defect
+// breaks one field; the rest of the message follows as if it were valid, so
+// a parser that missed the defect would read a whole message.
+void AppendRandomMessage(const Unit& unit, Rng& rng, Defect defect, std::string* wire) {
+  std::vector<std::string> length_refs;
+  for (const FieldSpec& f : unit.fields()) {
+    f.length.CollectFieldNames(&length_refs);
+    f.parse_expr.CollectFieldNames(&length_refs);
+  }
+  auto drives = [&](const std::string& name) {
+    return !name.empty() &&
+           std::find(length_refs.begin(), length_refs.end(), name) != length_refs.end();
+  };
+  // Which field carries the defect: the first ascii field, or the first
+  // length-driving field for kOversize.
+  int broken = -1;
+  for (size_t i = 0; defect != Defect::kNone && i < unit.fields().size() && broken < 0; ++i) {
+    const FieldSpec& f = unit.fields()[i];
+    if (defect == Defect::kOversize ? drives(f.name) : (f.kind == FieldKind::kUInt && f.ascii)) {
+      broken = static_cast<int>(i);
+    }
+  }
+  FLICK_CHECK(defect == Defect::kNone || broken >= 0);
+
+  std::vector<uint64_t> nums(unit.fields().size(), 0);
+  for (size_t i = 0; i < unit.fields().size(); ++i) {
+    const FieldSpec& f = unit.fields()[i];
+    const bool is_broken = static_cast<int>(i) == broken;
+    switch (f.kind) {
+      case FieldKind::kVar:
+        nums[i] = f.parse_expr.Eval(nums);
+        break;
+      case FieldKind::kUInt: {
+        uint64_t v = drives(f.name) ? rng.NextInRange(0, 40) : rng.Next();
+        if (is_broken && defect == Defect::kOversize) {
+          v = rng.NextInRange(kMaxFieldSize + 40, 255);
+        }
+        if (!f.ascii) {
+          if (f.fixed_size < 8) {
+            v &= (uint64_t{1} << (8 * f.fixed_size)) - 1;
+          }
+          uint8_t raw[8];
+          StoreUInt(raw, f.fixed_size, unit.byte_order(), v);
+          wire->append(reinterpret_cast<const char*>(raw), f.fixed_size);
+          nums[i] = v;
+          break;
+        }
+        if (!drives(f.name)) {
+          v %= 1000000;
+        }
+        std::string digits = std::to_string(v);
+        std::string terminator = "\r\n";
+        if (is_broken) {
+          switch (defect) {
+            case Defect::kNonDigit: digits.insert(rng.NextBelow(digits.size() + 1), "x"); break;
+            case Defect::kEmptyDigits: v = 0; digits.clear(); break;
+            case Defect::kBareCr: terminator = "\rX"; break;
+            // Zero-padded: the value still fits, only the digit count is wrong.
+            case Defect::kTwentyDigits: digits.insert(0, 20 - digits.size(), '0'); break;
+            default: break;
+          }
+        }
+        wire->append(digits + terminator);
+        nums[i] = v;
+        break;
+      }
+      case FieldKind::kBytes: {
+        const uint64_t size = f.length.is_const() ? f.length.const_value() : f.length.Eval(nums);
+        for (uint64_t b = 0; b < size && b < 4 * kMaxFieldSize; ++b) {
+          wire->push_back(static_cast<char>(rng.NextBelow(256)));
+        }
+        break;
+      }
+    }
+  }
+}
+
+// Everything a parse reports about one message.
+struct Outcome {
+  ParseStatus status;
+  std::vector<uint64_t> nums;
+  std::vector<std::string> bytes;
+  std::vector<size_t> field_wire;
+  size_t wire_size = 0;
+  size_t consumed = 0;
+
+  bool operator==(const Outcome&) const = default;
+};
+
+// Feeds `wire` through a chain drawing `buffer_size`-byte buffers. With no
+// `chunks` the stream is appended at once; otherwise in random 1..max_chunk
+// pieces, feeding after each. Returns each kDone, then the final status.
+std::vector<Outcome> ParseStream(const Unit& unit, std::string_view wire, size_t buffer_size,
+                                 Rng* chunks = nullptr, size_t max_chunk = 0) {
+  BufferPool pool(wire.size() / buffer_size + 4, buffer_size);
+  BufferChain input(&pool);
+  UnitParser parser(&unit);
+  parser.set_max_field_size(kMaxFieldSize);
+  Message msg;
+  std::vector<Outcome> outcomes;
+  size_t sent = 0;
+  size_t consumed = 0;  // by earlier kDone messages
+  while (true) {
+    if (sent < wire.size()) {
+      const size_t take = chunks == nullptr
+                              ? wire.size()
+                              : std::min<size_t>(chunks->NextInRange(1, max_chunk),
+                                                 wire.size() - sent);
+      FLICK_CHECK(input.Append(wire.substr(sent, take)));
+      sent += take;
+    }
+    ParseStatus status = ParseStatus::kNeedMore;
+    while ((status = parser.Feed(input, &msg)) == ParseStatus::kDone) {
+      Outcome o{status, msg.nums(), {}, {}, msg.wire_size(), sent - input.readable() - consumed};
+      for (size_t i = 0; i < unit.fields().size(); ++i) {
+        o.bytes.emplace_back(msg.GetBytes(static_cast<int>(i)));
+        o.field_wire.push_back(msg.FieldWireSize(static_cast<int>(i)));
+      }
+      consumed += o.consumed;
+      outcomes.push_back(std::move(o));
+    }
+    if (status == ParseStatus::kError || sent == wire.size()) {
+      outcomes.push_back(Outcome{status, {}, {}, {}, 0, 0});
+      return outcomes;
+    }
+  }
+}
+
+struct NamedUnit {
+  std::string name;
+  const Unit* unit;
+};
+
+std::vector<NamedUnit> BuiltInUnits() {
+  static const std::shared_ptr<lang::CompiledProgram> listing1 = [] {
+    auto compiled = lang::CompileSource(services::kMemcachedRouterSource);
+    FLICK_CHECK(compiled.ok());
+    return std::move(compiled).value();
+  }();
+  static const std::shared_ptr<lang::CompiledProgram> resp = [] {
+    auto compiled = lang::CompileSource(services::kRespRouterSource);
+    FLICK_CHECK(compiled.ok());
+    return std::move(compiled).value();
+  }();
+  return {
+      {"memcached", &proto::MemcachedUnit()},
+      {"memcached_routing", &proto::MemcachedRoutingUnit()},
+      {"listing1_cmd", listing1->UnitFor("cmd")},
+      {"resp_reply", resp->UnitFor("reply")},
+      {"resp_req", resp->UnitFor("req")},
+      {"hadoop_kv", &proto::HadoopKvUnit()},
+  };
+}
+
+bool HasAsciiField(const Unit& unit) {
+  for (const FieldSpec& f : unit.fields()) {
+    if (f.kind == FieldKind::kUInt && f.ascii) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Parses `wire` all three ways and requires identical outcomes; returns the
+// one-buffer run's.
+std::vector<Outcome> ParseAllWays(const NamedUnit& u, const std::string& wire, Rng& rng) {
+  // Smaller than any message of these units, so every message straddles.
+  constexpr size_t kTinyBuffer = 4;
+  const std::vector<Outcome> whole = ParseStream(*u.unit, wire, wire.size() + 1);
+  const std::vector<Outcome> straddled = ParseStream(*u.unit, wire, kTinyBuffer);
+  const std::vector<Outcome> chunked = ParseStream(*u.unit, wire, 64, &rng, 40);
+  for (const Outcome& o : whole) {
+    EXPECT_TRUE(o.status != ParseStatus::kDone || o.wire_size > kTinyBuffer) << u.name;
+  }
+  EXPECT_TRUE(whole == straddled) << u.name << ": one buffer vs every message straddling";
+  EXPECT_TRUE(whole == chunked) << u.name << ": one buffer vs random chunks";
+  return whole;
+}
+
+TEST(OnePassParseTest, MatchesIncrementalOnRandomStreams) {
+  for (const NamedUnit& u : BuiltInUnits()) {
+    ASSERT_NE(u.unit, nullptr) << u.name;
+    Rng rng(4242);
+    for (int round = 0; round < 20; ++round) {
+      std::string wire;
+      const int messages = static_cast<int>(rng.NextInRange(1, 30));
+      for (int m = 0; m < messages; ++m) {
+        AppendRandomMessage(*u.unit, rng, Defect::kNone, &wire);
+      }
+      const std::vector<Outcome> outcomes = ParseAllWays(u, wire, rng);
+      ASSERT_EQ(outcomes.size(), static_cast<size_t>(messages) + 1) << u.name;
+      EXPECT_EQ(outcomes.back().status, ParseStatus::kNeedMore) << u.name;
+      size_t consumed = 0;
+      for (int m = 0; m < messages; ++m) {
+        consumed += outcomes[static_cast<size_t>(m)].consumed;
+      }
+      EXPECT_EQ(consumed, wire.size()) << u.name;
+    }
+  }
+}
+
+TEST(OnePassParseTest, MalformedInputFailsTheSameWay) {
+  for (const NamedUnit& u : BuiltInUnits()) {
+    std::vector<Defect> defects = {Defect::kOversize};
+    if (HasAsciiField(*u.unit)) {
+      defects.insert(defects.end(), {Defect::kNonDigit, Defect::kEmptyDigits, Defect::kBareCr,
+                                     Defect::kTwentyDigits});
+    }
+    Rng rng(977);
+    for (const Defect defect : defects) {
+      for (int round = 0; round < 10; ++round) {
+        std::string wire;
+        const int valid = static_cast<int>(rng.NextBelow(4));
+        for (int m = 0; m < valid; ++m) {
+          AppendRandomMessage(*u.unit, rng, Defect::kNone, &wire);
+        }
+        AppendRandomMessage(*u.unit, rng, defect, &wire);
+        const std::vector<Outcome> outcomes = ParseAllWays(u, wire, rng);
+        ASSERT_EQ(outcomes.size(), static_cast<size_t>(valid) + 1) << u.name;
+        EXPECT_EQ(outcomes.back().status, ParseStatus::kError)
+            << u.name << " defect " << static_cast<int>(defect);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -197,9 +197,10 @@ class FoldTreeService : public runtime::ServiceProgram {
         .compare(b.gmsg.GetBytes(proto::HadoopKv::kKey));
   }
   static void AddCounts(runtime::Msg& into, const runtime::Msg& from) {
-    into.gmsg.SetBytes(proto::HadoopKv::kValue,
-                       proto::CombineCounts(into.gmsg.GetBytes(proto::HadoopKv::kValue),
-                                            from.gmsg.GetBytes(proto::HadoopKv::kValue)));
+    const proto::CountText sum =
+        proto::CombineCounts(into.gmsg.GetBytes(proto::HadoopKv::kValue),
+                             from.gmsg.GetBytes(proto::HadoopKv::kValue));
+    into.gmsg.SetBytes(proto::HadoopKv::kValue, sum.view());
   }
 
   const size_t streams_;

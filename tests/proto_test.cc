@@ -417,10 +417,10 @@ TEST_F(HadoopTest, StreamOfPairs) {
 }
 
 TEST_F(HadoopTest, CombineCountsAdds) {
-  EXPECT_EQ(CombineCounts("1", "2"), "3");
-  EXPECT_EQ(CombineCounts("999", "1"), "1000");
-  EXPECT_EQ(CombineCounts("0", "0"), "0");
-  EXPECT_EQ(CombineCounts("123456789", "987654321"), "1111111110");
+  EXPECT_EQ(CombineCounts("1", "2").view(), "3");
+  EXPECT_EQ(CombineCounts("999", "1").view(), "1000");
+  EXPECT_EQ(CombineCounts("0", "0").view(), "0");
+  EXPECT_EQ(CombineCounts("123456789", "987654321").view(), "1111111110");
 }
 
 TEST_F(HadoopTest, BuildKvSerializes) {
