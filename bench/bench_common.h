@@ -140,10 +140,11 @@ inline void ReportPoolCounters(benchmark::State& state,
   // Health plane: all three must read 0 on a steady-state point — the
   // benches run against healthy backends with the deadline/breaker plane
   // armed, so any nonzero value means the plane misfired under clean load
-  // (merge_bench_smoke.py asserts exactly that).
+  // or a request got a kError instead of its response (merge_bench_smoke.py
+  // asserts exactly that).
   state.counters["breaker_opens"] = avg(pstats.breaker_opens);
   state.counters["request_deadline_expiries"] = avg(pstats.request_deadline_expiries);
-  state.counters["retries_spent"] = avg(pstats.retries_spent);
+  state.counters["pool_requests_failed"] = avg(pstats.requests_failed);
 }
 
 // Exports the share-nothing plane counters of a platform: steals that

@@ -56,12 +56,12 @@ Asserted invariants (smoke fails on violation):
      windows and compares medians precisely so this assertion is stable on
      small runners — see bench/bench_tail_latency.cc.)
   9. Health plane quiescence: the smoke benches run against HEALTHY backends
-     with the deadline/breaker/retry plane armed (services default a 2 s
+     with the deadline/breaker plane armed (services default a 2 s
      response deadline), so on every point exporting the health counters
      breaker_opens == 0, request_deadline_expiries == 0 and
-     retries_spent == 0 — a breaker trip, deadline expiry or retry under
-     clean steady-state load means the health plane is misfiring (false
-     positives would fail real traffic too).
+     pool_requests_failed == 0 — a breaker trip, deadline expiry or kError
+     reply under clean steady-state load means the health plane is
+     misfiring (false positives would fail real traffic too).
  10. DSL ablation: the BM_DslAblation triple (same FLICK program, same
      pooled topology, three arms) must show the compile story working:
      the Lowered arm never LOSES to the Interp arm beyond noise (on a
@@ -305,8 +305,8 @@ def main(argv):
             f"must stay flat")
 
     # 9. Health plane quiescence: against healthy backends with the
-    # deadline/breaker/retry plane armed, no breaker may trip, no deadline
-    # may expire, no retry token may be spent.
+    # deadline/breaker plane armed, no breaker may trip, no deadline may
+    # expire, no request may be answered with a kError.
     health_checked = 0
     for b in merged["benchmarks"]:
         c = counters_of(b)
@@ -314,8 +314,8 @@ def main(argv):
         if opens is None:
             continue
         expiries = c.get("request_deadline_expiries")
-        retries = c.get("retries_spent")
-        assert expiries is not None and retries is not None, \
+        failed = c.get("pool_requests_failed")
+        assert expiries is not None and failed is not None, \
             f"{b['name']}: exports only part of the health counter set"
         assert opens == 0, (
             f"{b['name']}: {opens:.0f} breaker opens against healthy "
@@ -323,14 +323,14 @@ def main(argv):
         assert expiries == 0, (
             f"{b['name']}: {expiries:.0f} request deadline expiries in "
             f"steady state — responses are not beating the armed deadline")
-        assert retries == 0, (
-            f"{b['name']}: {retries:.0f} retry tokens spent with no faults "
-            f"injected — the retry plane is firing on clean load")
+        assert failed == 0, (
+            f"{b['name']}: {failed:.0f} requests failed with kError against "
+            f"healthy backends — the pool is losing wires on clean load")
         health_checked += 1
         batching.setdefault(b["name"], {}).update({
             "breaker_opens": opens,
             "request_deadline_expiries": expiries,
-            "retries_spent": retries,
+            "pool_requests_failed": failed,
         })
     assert health_checked >= len(pooled), \
         "pooled points missing the health plane counters"

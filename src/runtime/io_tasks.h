@@ -116,15 +116,6 @@ class InputTask : public IoTask {
     deadline_.Enable(wheel, scheduler, this, config, counters);
   }
 
-  // Caps the adaptive fill window: pool buffers one vectored read may span
-  // (see runtime::kDefaultFillWindow; 1 = legacy one-buffer reads). Set
-  // before IO activation; GraphBuilder applies its FillWindow() here.
-  void set_fill_window(size_t buffers) { fill_window_.set_max(buffers); }
-  size_t fill_window() const { return fill_window_.max(); }
-  // Current adapted window. NOT synchronised with Run — only meaningful when
-  // the task is quiescent (tests driving Run on their own thread).
-  size_t fill_window_current() const { return fill_window_.next(); }
-
   // --- ingest counters (atomic: read by registry/tests off-thread) ----------
   uint64_t readv_calls() const {
     return read_batch_.readv_calls.load(std::memory_order_relaxed);

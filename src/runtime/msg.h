@@ -113,7 +113,6 @@ class MsgPool {
   // uncounted-exhaustion fix: slice sizing is observable instead of silently
   // degrading to malloc on the data path.
   size_t pool_misses() const;
-  size_t overflow_count() const { return pool_misses(); }
 
   // Acquires this slice delegated to its spill parent (0 for non-slices).
   size_t slice_spills() const;

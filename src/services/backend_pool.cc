@@ -1,6 +1,5 @@
 #include "services/backend_pool.h"
 
-#include <algorithm>
 #include <deque>
 #include <string>
 #include <unordered_map>
@@ -21,40 +20,12 @@ namespace flick::services {
 namespace internal {
 
 // One in-flight (sent, unanswered) request on a pooled wire. The FIFO of
-// these is the response-correlation state; the extra fields carry the health
-// plane: the absolute response deadline, the retained request (only when the
-// pool's retry policy re-issues, so the steady-state kNone path keeps zero
-// retention cost) and the ORIGIN conn task a re-issued request must hand its
-// response back to — the origin is the lease's bound reply producer, so a
-// foreign conn never pushes into the lease channel directly (SPSC contract).
+// these is the response-correlation state. The failure rule: every request a
+// leg commits gets exactly one reply on that leg, in commit order — the
+// response, or a kError when the wire is lost before the response arrives.
 struct PendingEntry {
   uint64_t lease_id = 0;
-  uint64_t deadline_ns = 0;      // absolute MonotonicNanos; 0 = no deadline
-  runtime::MsgRef request;       // retained iff retry_policy != kNone
-  PoolConnTask* origin = nullptr;  // null/this = local; else hand replies back
-  uint8_t attempts = 0;          // re-issues already consumed
-};
-
-// Cross-connection work a run slice produced but must NOT deliver while its
-// own mutex is held (locking another conn's mutex under ours is the deadlock
-// recipe). The Run wrapper drains it through BackendPool::DispatchOutbox
-// with no lock held.
-struct PoolOutbox {
-  struct ForeignReply {
-    PoolConnTask* origin;
-    uint64_t lease_id;
-    runtime::MsgRef msg;
-  };
-  struct ForeignFail {
-    PoolConnTask* origin;
-    uint64_t lease_id;
-  };
-  std::vector<PendingEntry> retries;  // wire died: re-issue elsewhere
-  std::vector<ForeignReply> replies;  // responses owed to another conn's lease
-  std::vector<ForeignFail> fails;     // failures owed to another conn's lease
-  bool empty() const {
-    return retries.empty() && replies.empty() && fails.empty();
-  }
+  uint64_t deadline_ns = 0;  // absolute MonotonicNanos; 0 = no deadline
 };
 
 // Per-(backend, stripe) circuit breaker: the single source of truth for
@@ -103,11 +74,7 @@ class BackendHealth {
 
   // Safe to call any time before the wheel dies (pool dtor runs first by
   // the platform lifetime contract).
-  void CancelTimer() {
-    if (wheel_ != nullptr) {
-      wheel_->Cancel(&open_entry_);
-    }
-  }
+  void CancelTimer() { wheel_->Cancel(&open_entry_); }
 
   // --- stats (relaxed; summed by BackendPool::stats) -------------------------
   std::atomic<uint64_t> opens{0};
@@ -148,28 +115,22 @@ class PoolConnTask : public runtime::Task {
   // with sibling conns.
   PoolConnTask(std::string name, BackendPool* pool, uint16_t port,
                runtime::PlatformEnv& env, runtime::IoPoller* poller,
-               size_t stripe, size_t backend_index, BackendHealth* health)
+               size_t stripe, BackendHealth* health)
       : Task(std::move(name)),
         pool_(pool),
         port_(port),
         transport_(env.transport),
         poller_(poller),
         msgs_(env.shard_msgs(stripe)),
-        stripe_(stripe),
-        backend_index_(backend_index),
         health_(health),
         rx_(env.shard_buffers(stripe)),
         tx_(env.shard_buffers(stripe)),
         serializer_(pool->config_.make_serializer()),
         deserializer_(pool->config_.make_deserializer()) {
     shard_affinity = static_cast<int>(stripe);
-    fill_window_.set_max(pool->config_.fill_window);
     deadline_entry_.on_fire = [this] {
       deadline_fired_.store(true, std::memory_order_release);
-      runtime::Scheduler* scheduler = pool_->scheduler_;
-      if (scheduler != nullptr) {
-        scheduler->NotifyRunnable(this);
-      }
+      NotifySelf();
     };
   }
 
@@ -245,19 +206,25 @@ class PoolConnTask : public runtime::Task {
 
   // Test hook (BackendPool::CloseConnectionForTest): drops the wire as a
   // peer close would and defers the redial so the dead state is observable.
-  // Deliberately does NOT touch breaker accounting or fail the in-flight
-  // FIFO (legacy drop semantics): tests use it to construct dead-slot
-  // states, not to exercise the health plane.
+  // Deliberately does NOT touch breaker accounting: tests use it to
+  // construct dead-slot states, not to exercise the health plane.
   void ForceDropWireForTest(uint64_t redial_hold_ns) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (wire_ != nullptr) {
-      Disconnect(nullptr);
-    } else {
-      wire_state_.store(WireState::kDead, std::memory_order_release);
+    bool failed = false;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (wire_ != nullptr) {
+        Disconnect();
+        failed = !fail_queue_.empty();
+      } else {
+        wire_state_.store(WireState::kDead, std::memory_order_release);
+      }
+      if (redial_hold_ns > 0) {
+        next_dial_at_ns_.store(MonotonicNanos() + redial_hold_ns,
+                               std::memory_order_release);
+      }
     }
-    if (redial_hold_ns > 0) {
-      next_dial_at_ns_.store(MonotonicNanos() + redial_hold_ns,
-                             std::memory_order_release);
+    if (failed) {
+      NotifySelf();  // the kError replies go out from our own Run slice
     }
   }
 
@@ -301,39 +268,6 @@ class PoolConnTask : public runtime::Task {
 
   runtime::TaskRunResult Run(runtime::TaskContext& ctx) override;
 
-  // --- cross-conn hand-off (called by pool/siblings, NO conn lock held) -----
-
-  // Re-issue a request whose previous wire died. The entry keeps its origin
-  // so the response (or failure) is handed back there for reply routing.
-  void InjectRetry(PendingEntry&& entry) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      retry_inbox_.push_back(std::move(entry));
-    }
-    NotifySelf();
-  }
-
-  // A response another conn read for a lease WE own (retried request came
-  // home). Delivered through our Run slice: we are the lease's bound reply
-  // producer, so only we may push its channel.
-  void InjectForeignReply(uint64_t lease_id, runtime::MsgRef&& msg) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      foreign_replies_.emplace_back(lease_id, std::move(msg));
-    }
-    NotifySelf();
-  }
-
-  // A request of ours failed remotely (retry denied or re-failed): deliver
-  // the kError reply from our own slice.
-  void InjectFailure(uint64_t lease_id) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      fail_queue_.push_back(lease_id);
-    }
-    NotifySelf();
-  }
-
   // --- stats (relaxed; summed by BackendPool::stats) -------------------------
   std::atomic<uint64_t> dials_ok{0};
   std::atomic<uint64_t> dial_failures{0};
@@ -362,8 +296,7 @@ class PoolConnTask : public runtime::Task {
 
   // All helpers below run under mutex_ (except NotifySelf).
 
-  runtime::TaskRunResult RunLocked(runtime::TaskContext& ctx,
-                                   PoolOutbox& outbox);
+  runtime::TaskRunResult RunLocked(runtime::TaskContext& ctx);
 
   void NotifySelf() {
     runtime::Scheduler* scheduler = pool_->scheduler_;
@@ -380,7 +313,7 @@ class PoolConnTask : public runtime::Task {
       return false;
     }
     bool is_probe = false;
-    if (health_ != nullptr && !health_->AllowDial(&is_probe)) {
+    if (!health_->AllowDial(&is_probe)) {
       // Circuit open, or the half-open probe is already claimed by a
       // sibling: do not dial. Pace the next check like a failed dial.
       next_dial_at_ns_.store(
@@ -391,14 +324,11 @@ class PoolConnTask : public runtime::Task {
     auto conn = transport_->Connect(port_);
     if (!conn.ok()) {
       dial_failures.fetch_add(1, std::memory_order_relaxed);
-      if (health_ != nullptr) {
-        // Breaker accounting decides death now (it opens after the
-        // configured failure run and marks every sibling dead); one
-        // transient miss is not death — queued requests survive a blip
-        // and flush on the next dial, as Acquire()'s "requests queue
-        // until redial" promises.
-        health_->OnDialResult(false, is_probe);
-      }
+      // Breaker accounting decides death now (it opens after the configured
+      // failure run and marks every sibling dead); one transient miss is not
+      // death — queued requests survive a blip and flush on the next dial,
+      // as Acquire()'s "requests queue until redial" promises.
+      health_->OnDialResult(false, is_probe);
       next_dial_at_ns_.store(
           MonotonicNanos() + pool_->config_.redial_interval_ns,
           std::memory_order_release);
@@ -411,20 +341,15 @@ class PoolConnTask : public runtime::Task {
     }
     ever_connected_ = true;
     wire_state_.store(WireState::kConnected, std::memory_order_release);
-    if (health_ != nullptr) {
-      health_->OnDialResult(true, is_probe);
-    }
+    health_->OnDialResult(true, is_probe);
     poller_->WatchConnection(wire_.get(), this);
     return true;
   }
 
-  // Tears the wire down and routes the abandoned correlation state: every
-  // in-flight request's response is gone with the old byte stream, so each
-  // FIFO entry either retries on another wire (policy + retained request +
-  // attempts left; the pool decides budget/target in DispatchOutbox), fails
-  // back to its origin conn, or fails locally as a kError reply. A null
-  // outbox (test hook) keeps the legacy drop-counting semantics.
-  void Disconnect(PoolOutbox* outbox) {
+  // Tears the wire down. Every in-flight request's response is gone with
+  // the old byte stream, so each FIFO entry becomes a queued kError reply on
+  // its own leg, in FIFO order (fail_queue_, drained by the next Run slice).
+  void Disconnect() {
     if (wire_ != nullptr) {
       poller_->UnwatchConnection(wire_.get());
       wire_->Close();
@@ -432,26 +357,10 @@ class PoolConnTask : public runtime::Task {
     }
     wire_state_.store(WireState::kDead, std::memory_order_release);
     disconnects.fetch_add(1, std::memory_order_relaxed);
-    if (outbox == nullptr) {
-      responses_dropped.fetch_add(pending_.size(), std::memory_order_relaxed);
-      pending_.clear();
-    } else {
-      const bool retryable = pool_->config_.retry_policy != RetryPolicy::kNone;
-      const uint32_t max_retries = pool_->config_.max_retries_per_request;
-      for (PendingEntry& entry : pending_) {
-        if (retryable && entry.request && entry.attempts < max_retries) {
-          if (entry.origin == nullptr) {
-            entry.origin = this;
-          }
-          outbox->retries.push_back(std::move(entry));
-        } else if (entry.origin != nullptr && entry.origin != this) {
-          outbox->fails.push_back({entry.origin, entry.lease_id});
-        } else {
-          fail_queue_.push_back(entry.lease_id);
-        }
-      }
-      pending_.clear();
+    for (const PendingEntry& entry : pending_) {
+      fail_queue_.push_back(entry.lease_id);
     }
+    pending_.clear();
     rx_.Clear();  // also returns the reserved fill window to the pool
     tx_.Clear();
     fill_window_.Reset();  // the next wire earns its window back
@@ -491,12 +400,11 @@ class PoolConnTask : public runtime::Task {
     return true;
   }
 
-  // Synthesizes and routes the queued kError replies (fail_queue_) and the
-  // foreign responses handed back by retry targets. Deliverable regardless
-  // of wire state — that is the point: a dead backend still answers its
-  // leases, with errors. False when a reply channel filled (stalled_reply_
-  // holds the undeliverable message).
-  bool DrainHandbacksLocked() {
+  // Synthesizes and routes the queued kError replies (fail_queue_).
+  // Deliverable regardless of wire state — that is the point: a dead backend
+  // still answers its leases, with errors. False when a reply channel filled
+  // (stalled_reply_ holds the undeliverable message).
+  bool DrainFailuresLocked() {
     while (!fail_queue_.empty()) {
       const uint64_t lease_id = fail_queue_.front();
       fail_queue_.pop_front();
@@ -507,32 +415,13 @@ class PoolConnTask : public runtime::Task {
         return false;
       }
     }
-    while (!foreign_replies_.empty()) {
-      const uint64_t lease_id = foreign_replies_.front().first;
-      runtime::MsgRef msg = std::move(foreign_replies_.front().second);
-      foreign_replies_.pop_front();
-      if (!RouteReply(std::move(msg), lease_id)) {
-        return false;
-      }
-    }
     return true;
   }
 
-  // Open circuit, wire down: everything queued fails fast instead of
-  // waiting out the open window. Retry-eligible requests go to the outbox
-  // (the pool may still re-issue them on a healthy sibling backend);
-  // everything else becomes a kError reply. EOFs still finish their leg —
+  // Open circuit, wire down: everything queued fails fast as a kError reply
+  // instead of waiting out the open window. EOFs still finish their leg —
   // an open breaker must not pin a departing graph.
-  void FailFastLocked(PoolOutbox& outbox) {
-    for (PendingEntry& entry : retry_inbox_) {
-      if (entry.origin != nullptr && entry.origin != this) {
-        outbox.fails.push_back({entry.origin, entry.lease_id});
-      } else {
-        fail_queue_.push_back(entry.lease_id);
-      }
-    }
-    retry_inbox_.clear();
-    const bool retryable = pool_->config_.retry_policy != RetryPolicy::kNone;
+  void FailFastLocked() {
     for (LeaseSlot& slot : leases_) {
       while (true) {
         runtime::MsgRef msg = slot.requests->TryPop();
@@ -549,40 +438,8 @@ class PoolConnTask : public runtime::Task {
           requests_failed.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
-        if (retryable && pool_->config_.max_retries_per_request > 0) {
-          PendingEntry entry;
-          entry.lease_id = slot.lease_id;
-          entry.request = std::move(msg);
-          entry.origin = this;
-          outbox.retries.push_back(std::move(entry));
-        } else {
-          fail_queue_.push_back(slot.lease_id);
-        }
+        fail_queue_.push_back(slot.lease_id);
       }
-    }
-  }
-
-  // Serializes re-issued requests onto our (live) wire; each gets a fresh
-  // deadline and keeps its origin so the response routes home.
-  void DrainRetryInboxLocked(PoolOutbox& outbox) {
-    const uint64_t deadline_base = pool_->config_.request_deadline_ns;
-    while (!retry_inbox_.empty()) {
-      PendingEntry entry = std::move(retry_inbox_.front());
-      retry_inbox_.pop_front();
-      if (!entry.request || !serializer_->Serialize(*entry.request, tx_).ok()) {
-        if (entry.origin != nullptr && entry.origin != this) {
-          outbox.fails.push_back({entry.origin, entry.lease_id});
-        } else {
-          fail_queue_.push_back(entry.lease_id);
-        }
-        continue;
-      }
-      ++msgs_since_flush_;
-      entry.deadline_ns =
-          deadline_base > 0 ? MonotonicNanos() + deadline_base : 0;
-      requests_forwarded.fetch_add(1, std::memory_order_relaxed);
-      pending_.push_back(std::move(entry));
-      runtime::AtomicStoreMax(pipeline_hwm, pending_.size());
     }
   }
 
@@ -616,8 +473,6 @@ class PoolConnTask : public runtime::Task {
   Transport* transport_;
   runtime::IoPoller* poller_;
   runtime::MsgPool* msgs_;
-  const size_t stripe_;
-  const size_t backend_index_;
   BackendHealth* const health_;
 
   std::mutex mutex_;
@@ -647,10 +502,8 @@ class PoolConnTask : public runtime::Task {
   uint64_t armed_deadline_ = 0;             // guarded by mutex_
   std::atomic<bool> deadline_fired_{false};  // set by the wheel fire path
 
-  // Cross-conn inboxes (guarded by mutex_; fed by Inject* with no other
-  // lock held, drained by RunLocked).
-  std::deque<PendingEntry> retry_inbox_;
-  std::deque<std::pair<uint64_t, runtime::MsgRef>> foreign_replies_;
+  // Leases owed a kError reply, in the order their requests were committed
+  // (guarded by mutex_; fed by Disconnect and FailFastLocked).
   std::deque<uint64_t> fail_queue_;
 };
 
@@ -794,10 +647,7 @@ void BackendHealth::OnOpenTimerFired() {
 }
 
 void BackendHealth::NotifyConns() {
-  runtime::Scheduler* scheduler = pool_ != nullptr ? pool_->scheduler_ : nullptr;
-  if (scheduler == nullptr) {
-    return;
-  }
+  runtime::Scheduler* scheduler = pool_->scheduler_;
   for (PoolConnTask* conn : conns_) {
     scheduler->NotifyRunnable(conn);
   }
@@ -814,23 +664,11 @@ void BackendHealth::MarkConnsDead() {
 // ---------------------------------------------------------------------------
 
 runtime::TaskRunResult PoolConnTask::Run(runtime::TaskContext& ctx) {
-  PoolOutbox outbox;
-  runtime::TaskRunResult result;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    result = RunLocked(ctx, outbox);
-  }
-  // Cross-conn work leaves the slice with NO lock held: delivering it while
-  // holding mutex_ would lock another conn's mutex under ours — the classic
-  // two-conn deadlock.
-  if (!outbox.empty()) {
-    pool_->DispatchOutbox(this, stripe_, backend_index_, std::move(outbox));
-  }
-  return result;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return RunLocked(ctx);
 }
 
-runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
-                                               PoolOutbox& outbox) {
+runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx) {
   if (deadline_fired_.exchange(false, std::memory_order_acq_rel)) {
     armed_deadline_ = 0;  // the wheel entry is spent; re-arm below if needed
   }
@@ -843,31 +681,29 @@ runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
       return runtime::TaskRunResult::kIdle;  // reply channel wakes its producer
     }
   }
-  if (!DrainHandbacksLocked()) {
+  if (!DrainFailuresLocked()) {
     return runtime::TaskRunResult::kIdle;
   }
 
   // Head-of-line response deadline: once the oldest in-flight response is
   // overdue the byte stream's correlation is unknowable (everything behind
   // it is suspect too), so the whole wire is dropped — one expiry event, one
-  // breaker failure — and the FIFO fails or retries.
+  // breaker failure — and the FIFO fails.
   if (!pending_.empty() && pending_.front().deadline_ns != 0 &&
       MonotonicNanos() >= pending_.front().deadline_ns) {
     request_deadline_expiries.fetch_add(1, std::memory_order_relaxed);
-    if (health_ != nullptr) {
-      health_->OnWireFailure();
-    }
-    Disconnect(&outbox);
-    if (!DrainHandbacksLocked()) {
+    health_->OnWireFailure();
+    Disconnect();
+    if (!DrainFailuresLocked()) {
       ArmDeadlineLocked();
       return runtime::TaskRunResult::kIdle;
     }
   }
 
   if (!EnsureWire()) {
-    if (health_ != nullptr && health_->BreakerOpen()) {
-      FailFastLocked(outbox);
-      if (!DrainHandbacksLocked()) {
+    if (health_->BreakerOpen()) {
+      FailFastLocked();
+      if (!DrainFailuresLocked()) {
         ArmDeadlineLocked();
         return runtime::TaskRunResult::kIdle;
       }
@@ -876,11 +712,7 @@ runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
     return runtime::TaskRunResult::kIdle;  // redial ticker re-kicks us
   }
 
-  DrainRetryInboxLocked(outbox);
-
   const uint64_t deadline_base = pool_->config_.request_deadline_ns;
-  const bool retain_requests =
-      pool_->config_.retry_policy != RetryPolicy::kNone;
 
   while (true) {
     bool progress = false;
@@ -910,30 +742,20 @@ runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
           // Disconnect BEFORE counting: tests (and operators) key off the
           // error counter, so the wire drop must already be visible when the
           // counter moves.
-          if (health_ != nullptr) {
-            health_->OnWireFailure();
-          }
-          Disconnect(&outbox);
+          health_->OnWireFailure();
+          Disconnect();
           response_parse_errors.fetch_add(1, std::memory_order_relaxed);
           return runtime::TaskRunResult::kMoreWork;
         }
         progress = true;
         runtime::MsgRef msg = std::move(parse_msg_);
-        PendingEntry entry;
+        uint64_t lease_id = 0;
         if (!pending_.empty()) {
-          entry = std::move(pending_.front());
+          lease_id = pending_.front().lease_id;
           pending_.pop_front();
         }
-        if (health_ != nullptr) {
-          health_->OnResponseRouted();
-        }
-        if (entry.origin != nullptr && entry.origin != this) {
-          // A retried request that came home: the ORIGIN conn is the
-          // lease's bound reply producer, so the response is handed back
-          // through the outbox instead of pushed here.
-          outbox.replies.push_back(
-              {entry.origin, entry.lease_id, std::move(msg)});
-        } else if (!RouteReply(std::move(msg), entry.lease_id)) {
+        health_->OnResponseRouted();
+        if (!RouteReply(std::move(msg), lease_id)) {
           ArmDeadlineLocked();
           return runtime::TaskRunResult::kIdle;  // backpressure: stop reading
         }
@@ -949,10 +771,8 @@ runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
       const runtime::FillOutcome fill = runtime::FillChainVectored(
           rx_, *wire_, fill_window_, read_batch, &fill_bytes);
       if (fill == runtime::FillOutcome::kError) {
-        if (health_ != nullptr) {
-          health_->OnWireFailure();
-        }
-        Disconnect(&outbox);  // peer closed; redial next run / ticker kick
+        health_->OnWireFailure();
+        Disconnect();  // peer closed; redial next run / ticker kick
         return runtime::TaskRunResult::kMoreWork;
       }
       if (fill == runtime::FillOutcome::kNoBuffers) {
@@ -1021,7 +841,7 @@ runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
       if (!serializer_->Serialize(*msg, tx_).ok()) {
         // Partial serialization would corrupt the shared stream for every
         // lease on this wire: drop it and redial clean.
-        Disconnect(&outbox);
+        Disconnect();
         return runtime::TaskRunResult::kMoreWork;
       }
       ++msgs_since_flush_;
@@ -1033,10 +853,7 @@ runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
         if (deadline_base > 0) {
           entry.deadline_ns = MonotonicNanos() + deadline_base;
         }
-        if (retain_requests) {
-          entry.request = std::move(msg);
-        }
-        pending_.push_back(std::move(entry));
+        pending_.push_back(entry);
         runtime::AtomicStoreMax(pipeline_hwm, pending_.size());
       }
       requests_forwarded.fetch_add(1, std::memory_order_relaxed);
@@ -1044,29 +861,23 @@ runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
       if (watermark > 0 && tx_.readable() >= watermark) {
         batch.flushes_forced.fetch_add(1, std::memory_order_relaxed);
         if (!FlushWire()) {
-          if (health_ != nullptr) {
-            health_->OnWireFailure();
-          }
-          Disconnect(&outbox);
+          health_->OnWireFailure();
+          Disconnect();
           return runtime::TaskRunResult::kMoreWork;
         }
       }
       if (ctx.ShouldYield()) {
         if (!FlushWire()) {
-          if (health_ != nullptr) {
-            health_->OnWireFailure();
-          }
-          Disconnect(&outbox);
+          health_->OnWireFailure();
+          Disconnect();
         }
         return runtime::TaskRunResult::kMoreWork;
       }
     }
 
     if (!FlushWire()) {
-      if (health_ != nullptr) {
-        health_->OnWireFailure();
-      }
-      Disconnect(&outbox);
+      health_->OnWireFailure();
+      Disconnect();
       return runtime::TaskRunResult::kMoreWork;
     }
 
@@ -1126,9 +937,7 @@ BackendPool::~BackendPool() {
   }
   for (const auto& stripe : stripes_) {
     for (const StripeBackend& backend : stripe->backends) {
-      if (backend.health != nullptr) {
-        backend.health->CancelTimer();
-      }
+      backend.health->CancelTimer();
     }
   }
 }
@@ -1160,7 +969,7 @@ Status BackendPool::EnsureStarted(runtime::PlatformEnv& env) {
         backend.conns.push_back(std::make_unique<internal::PoolConnTask>(
             "pool-" + std::to_string(config_.ports[b]) + "-s" + std::to_string(s) +
                 "-" + std::to_string(c),
-            this, config_.ports[b], env, poller, s, b, backend.health.get()));
+            this, config_.ports[b], env, poller, s, backend.health.get()));
       }
       std::vector<internal::PoolConnTask*> conn_ptrs;
       conn_ptrs.reserve(backend.conns.size());
@@ -1210,92 +1019,6 @@ Status BackendPool::EnsureStarted(runtime::PlatformEnv& env) {
   return OkStatus();
 }
 
-void BackendPool::DispatchOutbox(internal::PoolConnTask* from,
-                                 size_t stripe_index, size_t backend_index,
-                                 internal::PoolOutbox&& outbox) {
-  // Hand-backs first: they are owed to origin conns regardless of retry
-  // admission.
-  for (auto& reply : outbox.replies) {
-    reply.origin->InjectForeignReply(reply.lease_id, std::move(reply.msg));
-  }
-  for (const auto& fail : outbox.fails) {
-    fail.origin->InjectFailure(fail.lease_id);
-  }
-  if (outbox.retries.empty()) {
-    return;
-  }
-
-  Stripe& stripe = *stripes_[stripe_index];
-  const RetryPolicy policy = config_.retry_policy;
-  const size_t n_backends = stripe.backends.size();
-
-  // A healthy target: closed breaker, live wire, not the conn that just
-  // failed. Retries stay within the failing conn's stripe (share-nothing:
-  // the origin's reply channel lives on this shard's column).
-  auto healthy_conn =
-      [&](StripeBackend& backend) -> internal::PoolConnTask* {
-    if (backend.health != nullptr &&
-        backend.health->state() != internal::BackendHealth::State::kClosed) {
-      return nullptr;
-    }
-    for (const auto& conn : backend.conns) {
-      if (conn.get() != from && conn->connected()) {
-        return conn.get();
-      }
-    }
-    return nullptr;
-  };
-
-  for (auto& entry : outbox.retries) {
-    internal::PoolConnTask* target = nullptr;
-    if (entry.attempts < config_.max_retries_per_request) {
-      if (policy == RetryPolicy::kSameBackend) {
-        target = healthy_conn(stripe.backends[backend_index]);
-      } else if (policy == RetryPolicy::kAnyBackend) {
-        // Prefer a DIFFERENT backend than the one that just failed.
-        for (size_t k = 1; k <= n_backends && target == nullptr; ++k) {
-          target = healthy_conn(stripe.backends[(backend_index + k) % n_backends]);
-        }
-      }
-    }
-    if (target == nullptr || !TryTakeRetryToken()) {
-      retries_denied_.fetch_add(1, std::memory_order_relaxed);
-      internal::PoolConnTask* origin =
-          entry.origin != nullptr ? entry.origin : from;
-      origin->InjectFailure(entry.lease_id);
-      continue;
-    }
-    ++entry.attempts;
-    if (entry.origin == nullptr) {
-      entry.origin = from;
-    }
-    retries_spent_.fetch_add(1, std::memory_order_relaxed);
-    target->InjectRetry(std::move(entry));
-  }
-}
-
-bool BackendPool::TryTakeRetryToken() {
-  if (config_.retry_policy == RetryPolicy::kNone) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(retry_mutex_);
-  const uint64_t now = MonotonicNanos();
-  if (retry_refill_ns_ == 0) {
-    retry_tokens_ = static_cast<double>(config_.retry_burst);
-  } else {
-    const double elapsed_s =
-        static_cast<double>(now - retry_refill_ns_) * 1e-9;
-    retry_tokens_ = std::min(static_cast<double>(config_.retry_burst),
-                             retry_tokens_ + elapsed_s * config_.retry_budget_per_sec);
-  }
-  retry_refill_ns_ = now;
-  if (retry_tokens_ < 1.0) {
-    return false;
-  }
-  retry_tokens_ -= 1.0;
-  return true;
-}
-
 bool BackendPool::BackendBreakerOpen(size_t backend_index) const {
   if (!started_.load(std::memory_order_acquire)) {
     return false;
@@ -1305,7 +1028,7 @@ bool BackendPool::BackendBreakerOpen(size_t backend_index) const {
   }
   for (const auto& stripe : stripes_) {
     const StripeBackend& backend = stripe->backends[backend_index];
-    if (backend.health == nullptr || !backend.health->BreakerOpen()) {
+    if (!backend.health->BreakerOpen()) {
       return false;
     }
   }
@@ -1589,16 +1312,12 @@ BackendPoolStats BackendPool::stats() const {
   s.lease_waits = lease_waits_.load(std::memory_order_relaxed);
   s.stripes = stripes_.size();
   s.stripe_spills = stripe_spills_.load(std::memory_order_relaxed);
-  s.retries_spent = retries_spent_.load(std::memory_order_relaxed);
-  s.retries_denied = retries_denied_.load(std::memory_order_relaxed);
   for (const auto& stripe : stripes_) {
     for (const StripeBackend& backend : stripe->backends) {
-      if (backend.health != nullptr) {
-        s.breaker_opens += backend.health->opens.load(std::memory_order_relaxed);
-        s.breaker_half_opens +=
-            backend.health->half_opens.load(std::memory_order_relaxed);
-        s.breaker_closes += backend.health->closes.load(std::memory_order_relaxed);
-      }
+      s.breaker_opens += backend.health->opens.load(std::memory_order_relaxed);
+      s.breaker_half_opens +=
+          backend.health->half_opens.load(std::memory_order_relaxed);
+      s.breaker_closes += backend.health->closes.load(std::memory_order_relaxed);
       for (const auto& conn : backend.conns) {
         s.conns_dialed += conn->dials_ok.load(std::memory_order_relaxed);
         s.dial_failures += conn->dial_failures.load(std::memory_order_relaxed);

@@ -56,7 +56,6 @@ class BackendPool;
 namespace internal {
 class PoolConnTask;
 class BackendHealth;
-struct PoolOutbox;
 }  // namespace internal
 
 struct BackendPoolConfig {
@@ -87,12 +86,6 @@ struct BackendPoolConfig {
   // shape, kept for the fig5 comparison series); 0 = slice-end flushes only.
   size_t flush_watermark_bytes = runtime::kDefaultFlushWatermark;
 
-  // Cap on the adaptive rx fill window: pool buffers one vectored read may
-  // span when draining pipelined replies (the read-side mirror of the flush
-  // watermark; 1 = legacy one-buffer reads). An idle wire holds one buffer;
-  // a hot one amortises up to this many buffers per transport read.
-  size_t fill_window = runtime::kDefaultFillWindow;
-
   // Minimum spacing between redial attempts for a disconnected connection.
   uint64_t redial_interval_ns = 1'000'000;
 
@@ -101,8 +94,7 @@ struct BackendPoolConfig {
   // Response deadline per in-flight request, armed on the stripe's shard
   // wheel when the request enters the wire FIFO. Expiry drops the wire (the
   // byte stream's correlation is unknowable once the head response is
-  // overdue), fails or retries the in-flight entries, and counts a breaker
-  // failure. 0 disables (the raw-config default, so channel-level tests that
+  // overdue), fails the in-flight entries, and counts a breaker failure. 0 disables (the raw-config default, so channel-level tests that
   // deliberately park requests keep their semantics; services arm it via
   // WireOptions).
   uint64_t request_deadline_ns = 0;
@@ -115,16 +107,6 @@ struct BackendPoolConfig {
   // for "this backend is down" (it replaced the per-conn 3-strikes counter).
   uint32_t breaker_failure_threshold = 3;
   uint64_t breaker_open_ns = 100'000'000;
-
-  // Retry policy for requests whose wire died or deadline expired (see
-  // services::RetryPolicy for semantics + the response-ordering caveat).
-  RetryPolicy retry_policy = RetryPolicy::kNone;
-  uint32_t max_retries_per_request = 1;
-
-  // Pool-wide retry token bucket: a flapping backend must not amplify load
-  // into a retry storm. Exhaustion fails the request (retries_denied).
-  double retry_budget_per_sec = 100.0;
-  uint32_t retry_burst = 32;
 
   // Wire codecs: requests out, responses in. The deserializer must frame
   // complete responses (response correlation is per-message).
@@ -163,8 +145,10 @@ struct BackendPoolStats {
   uint64_t breaker_closes = 0;      // half-open -> closed (probe succeeded)
   uint64_t request_deadline_expiries = 0;  // deadline events (one per wire drop)
   uint64_t requests_failed = 0;     // kError replies delivered to legs
-  uint64_t retries_spent = 0;       // re-issues that found a healthy target
-  uint64_t retries_denied = 0;      // budget/attempts/target exhausted
+  // Always 0: the pool never re-issues a request (a failed one gets a kError
+  // on its own leg). Kept because the benchmark harness still reads them.
+  uint64_t retries_spent = 0;
+  uint64_t retries_denied = 0;
 };
 
 // Move-only claim on one pooled connection per backend. Handed out by
@@ -296,9 +280,10 @@ class BackendPool {
   // dead-slot-skew checks).
   std::vector<uint32_t> SlotActiveLeases(size_t backend_index, size_t stripe = 0) const;
 
-  // Forcibly drops one wire (as a peer close would) and defers its redial by
-  // `redial_hold_ns`. Test hook for constructing mixed live/dead slot states
-  // deterministically.
+  // Forcibly drops one wire (as a peer close would: its in-flight requests
+  // get kError replies) and defers its redial by `redial_hold_ns`. Breaker
+  // accounting is untouched. Test hook for constructing mixed live/dead slot
+  // states deterministically.
   void CloseConnectionForTest(size_t backend_index, size_t slot, size_t stripe = 0,
                               uint64_t redial_hold_ns = 0);
 
@@ -332,17 +317,6 @@ class BackendPool {
   Result<PoolLease> AcquireFromStripe(size_t stripe);
   Result<PoolLease> AcquireExclusiveFromStripe(size_t backend_index, size_t stripe);
 
-  // Delivers a run slice's cross-connection work — retries to re-issue,
-  // foreign replies/failures to hand back to origin tasks — with NO conn
-  // mutex held (the caller's Run wrapper already dropped its own). Retries
-  // take a budget token and a healthy target here; entries that get neither
-  // fail back to their origin.
-  void DispatchOutbox(internal::PoolConnTask* from, size_t stripe_index,
-                      size_t backend_index, internal::PoolOutbox&& outbox);
-
-  // Token-bucket admission for one retry. Lock-bound but failure-path only.
-  bool TryTakeRetryToken();
-
   BackendPoolConfig config_;
 
   mutable std::mutex mutex_;  // guards EnsureStarted + cold-path layout
@@ -365,13 +339,6 @@ class BackendPool {
   std::atomic<uint64_t> leases_released_{0};
   std::atomic<uint64_t> lease_waits_{0};
   std::atomic<uint64_t> stripe_spills_{0};
-
-  // Retry token bucket (failure path only, so a plain mutex is fine).
-  std::mutex retry_mutex_;
-  double retry_tokens_ = 0.0;          // guarded by retry_mutex_
-  uint64_t retry_refill_ns_ = 0;       // guarded by retry_mutex_; 0 = unfilled
-  std::atomic<uint64_t> retries_spent_{0};
-  std::atomic<uint64_t> retries_denied_{0};
 };
 
 }  // namespace flick::services

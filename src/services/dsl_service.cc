@@ -152,8 +152,8 @@ Result<std::unique_ptr<DslService>> DslService::Create(const std::string& source
   }
 
   // Pooled mode: one striped BackendPool shared by every client graph —
-  // request deadlines, circuit breakers and budgeted retries come from the
-  // pool. The codecs speak the backend channel's declared types.
+  // request deadlines and circuit breakers come from the pool. The codecs
+  // speak the backend channel's declared types.
   if (service->options_.wire.mode == BackendMode::kPooled &&
       !service->backend_ports_.empty() && service->backend_out_unit_ != nullptr) {
     const grammar::Unit* out_unit = service->backend_out_unit_;

@@ -6,7 +6,7 @@
 // with pre-resolved field indices, interpreter fallback for unprovable rules)
 // -> per-connection task graph on the pooled/sharded runtime. Backend legs
 // run through the striped BackendPool by default (request deadlines, circuit
-// breakers and budgeted retries for free); Options::wire.mode == kPerClient
+// breakers for free); Options::wire.mode == kPerClient
 // restores the paper's original dedicated-connection shape.
 //
 // Dispatch observability: RegistryStats{dsl_lowered_msgs,

@@ -79,14 +79,6 @@ GraphBuilder& GraphBuilder::FlushWatermark(size_t bytes) {
   return *this;
 }
 
-GraphBuilder& GraphBuilder::FillWindow(size_t buffers) {
-  // 0 normalises to 1 (legacy one-buffer reads), matching
-  // AdaptiveFillWindow::set_max so the knob means the same thing on client
-  // sources and pooled wires.
-  fill_window_ = buffers == 0 ? 1 : buffers;
-  return *this;
-}
-
 GraphBuilder& GraphBuilder::IdleTimeout(uint64_t ns) {
   idle_timeout_override_ = ns;
   return *this;
@@ -552,7 +544,6 @@ Status GraphBuilder::Launch(GraphRegistry& registry) {
         auto* task = graph->AddTask<runtime::InputTask>(
             node.name, TakeConn(node.conn), std::move(node.deserializer),
             channels[node.out_edges[0]], env_.msgs, env_.buffers);
-        task->set_fill_window(fill_window_);
         if (node.order != nullptr) {
           task->set_run_fold(
               runtime::RunFold(std::move(node.order), std::move(node.combine)));
@@ -617,7 +608,6 @@ Status GraphBuilder::Launch(GraphRegistry& registry) {
   stats_.channels = graph->channel_count();
   stats_.connections = conns_.size();
   stats_.flush_watermark = flush_watermark_;
-  stats_.fill_window = fill_window_;
   stats_.io_shard = env_.io_shard;
 
   // Bind pooled legs before IO activation: once a graph task is notified it

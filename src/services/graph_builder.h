@@ -106,7 +106,6 @@ struct GraphLaunchStats {
   size_t pooled_legs = 0;  // legs served by a BackendPool lease (no dial)
   size_t exclusive_legs = 0;  // streaming legs on an exclusive lease
   size_t flush_watermark = 0; // forced-flush threshold applied to the sinks
-  size_t fill_window = 0;     // rx fill-window cap applied to the sources
   size_t io_shard = 0;        // IO shard the graph's legs are pinned to
 };
 
@@ -151,12 +150,6 @@ class GraphBuilder {
   // 0 = slice-end flushes only). This is the builder-leg flush control the
   // batched output path is steered with.
   GraphBuilder& FlushWatermark(size_t bytes);
-
-  // Cap on every Source's adaptive rx fill window: pool buffers one vectored
-  // read may span (runtime::kDefaultFillWindow initially; 0 or 1 = legacy
-  // one-buffer reads, matching BackendPoolConfig::fill_window). The
-  // read-side mirror of FlushWatermark.
-  GraphBuilder& FillWindow(size_t buffers);
 
   // Connection-lifetime overrides for this graph's CLIENT legs (adopted
   // connections; dialled/pooled backend wires are never deadline-closed by
@@ -335,7 +328,6 @@ class GraphBuilder {
   bool launched_ = false;
   size_t default_capacity_ = 128;
   size_t flush_watermark_ = runtime::kDefaultFlushWatermark;
-  size_t fill_window_ = runtime::kDefaultFillWindow;
   static constexpr uint64_t kInheritLifetime = UINT64_MAX;
   uint64_t idle_timeout_override_ = kInheritLifetime;
   uint64_t header_deadline_override_ = kInheritLifetime;

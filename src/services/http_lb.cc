@@ -86,7 +86,7 @@ void HttpLbService::OnConnection(std::unique_ptr<Connection> conn,
                   }
                   if (msg.kind == runtime::Msg::Kind::kError) {
                     // The pooled leg failed this request (deadline expiry,
-                    // open circuit, lost wire with no retry left): its FIFO
+                    // open circuit, lost wire): its FIFO
                     // position is already spent, so answer 502 and ask the
                     // client to close — a single emit keeps the failure
                     // path idempotent under kBlocked retries.

@@ -205,7 +205,7 @@ NodeRef MemcachedProxyService::CachingDispatchStage(GraphBuilder& b, size_t n,
         }
         if (msg.kind == runtime::Msg::Kind::kError) {
           // The leg failed this flight (deadline expiry, open circuit, lost
-          // wire with no retry left). A failed GET degrades to the
+          // wire). A failed GET degrades to the
           // last-known-good copy when one exists — outage availability over
           // freshness; everything else answers INTERNAL_ERROR so the client
           // fails fast instead of hanging to the detach timeout.

@@ -54,7 +54,7 @@ class MemcachedProxyService : public runtime::ServiceProgram {
     // Degrade-to-cache: keep a last-known-good copy of every populated
     // value in `dict + "/stale"` (plain Put — deliberately exempt from the
     // invalidate-wins protocol) and serve it when a backend leg FAILS a GET
-    // (deadline expiry, open circuit, lost wire with no retry left). Stale
+    // (deadline expiry, open circuit, lost wire). Stale
     // by design: outage availability over freshness. Counted in
     // RegistryStats::cache_stale_served.
     bool serve_stale = true;

@@ -9,19 +9,14 @@ void WireOptions::ApplyTo(BackendPoolConfig& cfg) const {
   cfg.conns_per_backend = conns_per_backend;
   cfg.max_pipeline_depth = max_pipeline_depth;
   cfg.flush_watermark_bytes = flush_watermark_bytes;
-  cfg.fill_window = fill_window;
   cfg.io_shards = io_shards;
   cfg.request_deadline_ns = request_deadline_ns;
   cfg.breaker_failure_threshold = breaker_failure_threshold;
   cfg.breaker_open_ns = breaker_open_ns;
-  cfg.retry_policy = retry_policy;
-  cfg.max_retries_per_request = max_retries_per_request;
-  cfg.retry_budget_per_sec = retry_budget_per_sec;
-  cfg.retry_burst = retry_burst;
 }
 
 GraphBuilder& WireOptions::ApplyTo(GraphBuilder& b) const {
-  b.FlushWatermark(flush_watermark_bytes).FillWindow(fill_window);
+  b.FlushWatermark(flush_watermark_bytes);
   if (idle_timeout_ns != kInheritLifetimeNs) {
     b.IdleTimeout(idle_timeout_ns);
   }

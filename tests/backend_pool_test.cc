@@ -514,7 +514,6 @@ TEST_F(BackendPoolTest, LaunchAndRegistryStatsCoverPooledLegs) {
   EXPECT_EQ(probe.last_stats.pooled_legs, 1u);
   EXPECT_EQ(probe.last_stats.sources, 1u);
   EXPECT_EQ(probe.last_stats.sinks, 1u);
-  EXPECT_EQ(probe.last_stats.fill_window, runtime::kDefaultFillWindow);
   EXPECT_EQ(probe.last_stats.connections, 1u);  // only the client wire
   EXPECT_EQ(probe.last_stats.watched, 1u);
   // 4 edges: client-in->dispatch, dispatch->pool, pool->dispatch,

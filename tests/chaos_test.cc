@@ -9,9 +9,9 @@
 //     successful probe closes the circuit and restores traffic,
 //   * request deadlines: a stalled backend fails the in-flight request with
 //     kError instead of pinning the lease,
-//   * budgeted retries: an expired request re-issues onto a DIFFERENT
-//     healthy backend (kAnyBackend), and budget exhaustion fails fast
-//     instead of hanging,
+//   * the one failure rule of a pooled leg: across a mid-pipeline wire loss
+//     every committed request gets exactly one reply on its leg, in commit
+//     order — its own response or a kError,
 //   * degradation: http_lb answers an immediate 502 + close when every
 //     breaker is open, and memcached cache mode serves the last-known-good
 //     value during a backend outage (cache_stale_served).
@@ -417,7 +417,7 @@ TEST_F(ChaosTest, HalfOpenWindowAdmitsExactlyOneProbe) {
   platform.Stop();
 }
 
-// --- request deadlines + retries ------------------------------------------------
+// --- request deadlines + wire loss ----------------------------------------------
 
 // A backend that accepts requests but never answers (scripted rx stall) must
 // fail the in-flight request with kError once the response deadline expires
@@ -469,7 +469,6 @@ TEST_F(ChaosTest, DeadlineExpiryFailsRequestFast) {
   EXPECT_EQ(stats.requests_failed, 1u);
   EXPECT_EQ(stats.responses_routed, 0u);
   EXPECT_EQ(stats.breaker_opens, 1u);
-  EXPECT_EQ(stats.retries_spent, 0u);
   EXPECT_EQ(net_.fault_counters(12003).read_stalls, 1u);
   EXPECT_TRUE(pool.BackendBreakerOpen(0));
 
@@ -478,124 +477,96 @@ TEST_F(ChaosTest, DeadlineExpiryFailsRequestFast) {
   platform.Stop();
 }
 
-// kAnyBackend: the expired request re-issues onto a DIFFERENT healthy
-// backend, and its response is handed back through the origin leg — the
-// client sees the other backend's answer, not an error.
-TEST_F(ChaosTest, ExpiredRequestRetriesOntoAnotherBackend) {
-  load::MemcachedBackend stalled(&transport_, 12004);
-  load::MemcachedBackend healthy(&transport_, 12005);
-  ASSERT_TRUE(stalled.Start().ok() && healthy.Start().ok());
-  stalled.Preload("key", "value-stalled");
-  healthy.Preload("key", "value-healthy");
+// The failure rule of a pooled leg: every request the leg commits gets
+// exactly one reply on that leg, in commit order — its own response or a
+// kError. N GETs for distinct keys are pipelined on one leased leg; the
+// backend's first wire resets after delivering exactly kWhole responses.
+// Requests in flight at the reset fail; requests the pool had not yet written
+// go out on the redialled wire and get real values, so only the first
+// kWhole replies are pinned to values.
+TEST_F(ChaosTest, PipelinedLegAnswersEveryRequestInOrderAcrossWireLoss) {
+  constexpr size_t kRequests = 16;
+  constexpr size_t kWhole = 3;
+  load::MemcachedBackend backend(&transport_, 12004);
+  ASSERT_TRUE(backend.Start().ok());
+  auto key_of = [](size_t i) { return "key-" + std::to_string(100 + i); };
+  auto value_of = [](size_t i) { return "value-" + std::to_string(100 + i); };
+  for (size_t i = 0; i < kRequests; ++i) {
+    backend.Preload(key_of(i), value_of(i));
+  }
 
+  // Every GET response has the same size (equal-length values, no key), so
+  // the reset lands exactly after kWhole whole responses.
+  grammar::Message sample;
+  proto::BuildResponse(&sample, proto::kMemcachedGet, proto::kMemcachedStatusOk,
+                       "", value_of(0));
+  const size_t response_bytes = proto::ToWire(sample).size();
   FaultPlan plan;
-  ConnFaultSpec stall;
-  stall.stall_rx_after_bytes = 0;
-  stall.stall_rx_for_ns = 60'000'000'000;
-  plan.conn_faults = {stall};
-  plan.repeat_last = true;
+  ConnFaultSpec rst;
+  rst.rst_after_rx_bytes = kWhole * response_bytes;
+  plan.conn_faults = {rst};  // the first wire only; the redial is clean
   net_.InjectFaults(12004, std::move(plan));
 
   auto& platform = MakePlatform();
-  auto cfg = MemcachedPoolConfig({12004, 12005});
-  cfg.request_deadline_ns = 50'000'000;
-  cfg.breaker_failure_threshold = 3;  // one expiry must not open the circuit
-  cfg.retry_policy = services::RetryPolicy::kAnyBackend;
-  cfg.max_retries_per_request = 1;
+  auto cfg = MemcachedPoolConfig({12004});
+  cfg.breaker_failure_threshold = 3;  // one lost wire must not open it
   services::BackendPool pool(std::move(cfg));
   platform.Start();
   ScopedPlatformStop stop_guard(platform);
   ASSERT_TRUE(pool.EnsureStarted(platform.env()).ok());
-  ASSERT_TRUE(WaitFor([&] { return pool.live_connections() == 2; }));
+  ASSERT_TRUE(WaitFor([&] { return pool.live_connections() == 1; }));
 
   auto lease = pool.Acquire();
   ASSERT_TRUE(lease.ok());
-  runtime::Channel requests(16);
-  runtime::Channel replies(16);
-  pool.Attach(*lease, /*backend_index=*/0, &requests, &replies);  // stalled leg
-  runtime::MsgPool msgs(16);
-  runtime::MsgRef req = msgs.Acquire();
-  req->kind = runtime::Msg::Kind::kGrammar;
-  proto::BuildRequest(&req->gmsg, proto::kMemcachedGet, "key");
-  ASSERT_TRUE(requests.TryPush(std::move(req)));
-
-  runtime::MsgRef reply;
-  ASSERT_TRUE(WaitFor([&] {
-    reply = replies.TryPop();
-    return static_cast<bool>(reply);
-  }));
-  ASSERT_EQ(reply->kind, runtime::Msg::Kind::kGrammar)
-      << "the retry must deliver a real response, not an error";
-  EXPECT_EQ(proto::MemcachedCommand(&reply->gmsg).value(), "value-healthy")
-      << "the retry must land on the OTHER backend";
-  EXPECT_GE(healthy.requests_served(), 1u);
-
-  const services::BackendPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.request_deadline_expiries, 1u);
-  EXPECT_EQ(stats.retries_spent, 1u);
-  EXPECT_EQ(stats.retries_denied, 0u);
-  EXPECT_EQ(stats.responses_routed, 1u);
-  EXPECT_EQ(stats.requests_failed, 0u);
-
-  services::PoolLease l = std::move(lease).value();
-  pool.Release(l);
-  platform.Stop();
-}
-
-// An exhausted retry budget fails the request with kError — never a hang,
-// never an unbudgeted re-issue.
-TEST_F(ChaosTest, RetryBudgetExhaustionFailsInsteadOfHanging) {
-  load::MemcachedBackend stalled(&transport_, 12006);
-  load::MemcachedBackend healthy(&transport_, 12007);
-  ASSERT_TRUE(stalled.Start().ok() && healthy.Start().ok());
-  healthy.Preload("key", "value-healthy");
-
-  FaultPlan plan;
-  ConnFaultSpec stall;
-  stall.stall_rx_after_bytes = 0;
-  stall.stall_rx_for_ns = 60'000'000'000;
-  plan.conn_faults = {stall};
-  plan.repeat_last = true;
-  net_.InjectFaults(12006, std::move(plan));
-
-  auto& platform = MakePlatform();
-  auto cfg = MemcachedPoolConfig({12006, 12007});
-  cfg.request_deadline_ns = 50'000'000;
-  cfg.breaker_failure_threshold = 3;
-  cfg.retry_policy = services::RetryPolicy::kAnyBackend;
-  cfg.max_retries_per_request = 1;
-  cfg.retry_budget_per_sec = 0.0;  // bone-dry bucket:
-  cfg.retry_burst = 0;             // every retry must be denied
-  services::BackendPool pool(std::move(cfg));
-  platform.Start();
-  ScopedPlatformStop stop_guard(platform);
-  ASSERT_TRUE(pool.EnsureStarted(platform.env()).ok());
-  ASSERT_TRUE(WaitFor([&] { return pool.live_connections() == 2; }));
-
-  auto lease = pool.Acquire();
-  ASSERT_TRUE(lease.ok());
-  runtime::Channel requests(16);
-  runtime::Channel replies(16);
+  runtime::Channel requests(kRequests * 2);
+  runtime::Channel replies(kRequests * 2);
   pool.Attach(*lease, /*backend_index=*/0, &requests, &replies);
-  runtime::MsgPool msgs(16);
-  runtime::MsgRef req = msgs.Acquire();
-  req->kind = runtime::Msg::Kind::kGrammar;
-  proto::BuildRequest(&req->gmsg, proto::kMemcachedGet, "key");
-  ASSERT_TRUE(requests.TryPush(std::move(req)));
+  runtime::MsgPool msgs(kRequests * 2);
+  for (size_t i = 0; i < kRequests; ++i) {
+    runtime::MsgRef req = msgs.Acquire();
+    req->kind = runtime::Msg::Kind::kGrammar;
+    proto::BuildRequest(&req->gmsg, proto::kMemcachedGet, key_of(i));
+    ASSERT_TRUE(requests.TryPush(std::move(req)));
+  }
 
-  runtime::MsgRef reply;
+  std::vector<runtime::MsgRef> got;
   ASSERT_TRUE(WaitFor([&] {
-    reply = replies.TryPop();
-    return static_cast<bool>(reply);
-  })) << "a denied retry must fail the request, not hang it";
-  EXPECT_EQ(reply->kind, runtime::Msg::Kind::kError);
+    while (runtime::MsgRef reply = replies.TryPop()) {
+      got.push_back(std::move(reply));
+    }
+    return got.size() >= kRequests;
+  })) << "only " << got.size() << " of " << kRequests << " requests answered";
+  // Exactly one reply per request: nothing more arrives once all are in.
+  ASSERT_TRUE(WaitFor([&] {
+    const services::BackendPoolStats s = pool.stats();
+    return s.responses_routed + s.requests_failed >= kRequests;
+  }));
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(static_cast<bool>(replies.TryPop())) << "a request got two replies";
+  ASSERT_EQ(got.size(), kRequests);
+
+  size_t errors = 0;
+  for (size_t i = 0; i < kRequests; ++i) {
+    if (got[i]->kind == runtime::Msg::Kind::kError) {
+      EXPECT_GE(i, kWhole) << "reply " << i << " was delivered before the reset";
+      ++errors;
+      continue;
+    }
+    ASSERT_EQ(got[i]->kind, runtime::Msg::Kind::kGrammar) << "reply " << i;
+    EXPECT_EQ(proto::MemcachedCommand(&got[i]->gmsg).value(), value_of(i))
+        << "reply " << i << " answers another request";
+  }
 
   const services::BackendPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.retries_denied, 1u);
-  EXPECT_EQ(stats.retries_spent, 0u);
-  EXPECT_EQ(stats.requests_failed, 1u);
-  EXPECT_EQ(healthy.requests_served(), 0u)
-      << "nothing may reach the healthy backend without a budget token";
+  EXPECT_EQ(stats.responses_routed + stats.requests_failed, kRequests);
+  EXPECT_EQ(stats.requests_failed, errors);
+  EXPECT_GE(stats.requests_failed, 1u)
+      << "the reset fired on bytes past the last whole response, so at least "
+         "one request was in flight";
+  EXPECT_EQ(stats.responses_dropped, 0u);
+  EXPECT_EQ(stats.disconnects, 1u);
+  EXPECT_EQ(stats.breaker_opens, 0u);
+  EXPECT_EQ(net_.fault_counters(12004).rsts, 1u);
 
   services::PoolLease l = std::move(lease).value();
   pool.Release(l);

@@ -53,11 +53,11 @@ TEST(MsgPoolTest, AcquireReleasesBackToPool) {
     MsgRef a = pool.Acquire();
     MsgRef b = pool.Acquire();
     EXPECT_TRUE(a && b);
-    EXPECT_EQ(pool.overflow_count(), 0u);
+    EXPECT_EQ(pool.pool_misses(), 0u);
   }
   MsgRef c = pool.Acquire();
   EXPECT_TRUE(c);
-  EXPECT_EQ(pool.overflow_count(), 0u);
+  EXPECT_EQ(pool.pool_misses(), 0u);
 }
 
 TEST(MsgPoolTest, OverflowFallsBackToHeap) {
@@ -65,7 +65,7 @@ TEST(MsgPoolTest, OverflowFallsBackToHeap) {
   MsgRef a = pool.Acquire();
   MsgRef b = pool.Acquire();  // pool dry
   EXPECT_TRUE(b);
-  EXPECT_EQ(pool.overflow_count(), 1u);
+  EXPECT_EQ(pool.pool_misses(), 1u);
 }
 
 TEST(MsgPoolTest, AcquiredMsgIsClean) {
